@@ -3,8 +3,8 @@
 Hot numeric kernels are JIT-compiled with numba by default.  Setting the
 environment variable ``DIAMOND_PURE_NUMPY=1`` (before import) selects the
 pure-NumPy/Python fallback path instead; the fallback is also used
-automatically when numba is not importable.  ``benchmarks/bench_backends.py``
-compares the two paths.
+automatically when numba is not importable.  ``perfbench/`` times the
+package end to end and layer by layer on the active backend.
 """
 
 import os

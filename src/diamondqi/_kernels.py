@@ -1,22 +1,15 @@
-"""Hot numeric kernels with numba and pure-NumPy twins.
+"""Kummer-series kernels, JIT-compiled by numba when it is available.
 
-Every public entry here comes in two flavors:
-
-* a scalar/loop implementation decorated with ``@njit`` (compiled when the
-  numba backend is active, plain Python otherwise), and
-* a vectorized NumPy implementation (``*_np``) used by the fallback path for
-  the chunked series sums, where plain Python loops would be too slow.
-
-``get_series_impl()`` returns the chunk functions for the active backend.
-The two backends may differ by a few ulp because the summation order inside
-a chunk differs; each backend on its own is deterministic.
+Each kernel is a scalar loop decorated with ``@njit``: compiled when the
+numba backend is active, plain Python otherwise.  The entanglement series
+need no kernel here: ``entanglement`` sums them in vectorized NumPy passes.
 """
 
 import math
 
 import numpy as np
 
-from ._backend import USE_NUMBA, njit
+from ._backend import njit
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
@@ -165,89 +158,3 @@ def kummer_series_dd(a_re, a_im, b_real, z_re, z_im, max_terms):
         else:
             run = 0
     return s_rh + s_rl, s_ih + s_il, n, run >= 3
-
-
-# ---------------------------------------------------------------------------
-# entanglement-measure series chunks
-# ---------------------------------------------------------------------------
-# All chunks sum n in [n0, n1) for r > 0, with lnq = ln(tanh^2 r) taken
-# from states._ln_tanh2 (not from log(q), which loses ~cosh^2 r * eps),
-# c2 = cosh^2 r, s2 = sinh^2 r.  Weights w_n = q^n / (2 c2).
-
-@njit(cache=True)
-def neg_chunk_numba(lnq, c2, s2, n0, n1):
-    """Sum of w_n (sqrt(T_n^2 + B) - T_n), T_n = n/s2 + q, B = 4/c2."""
-    q = s2 / c2
-    B = 4.0 / c2
-    acc = 0.0
-    for n in range(n0, n1):
-        w = math.exp(n * lnq) / (2.0 * c2)
-        T = n / s2 + q
-        acc += w * (math.sqrt(T * T + B) - T)
-    return acc
-
-
-def neg_chunk_np(lnq, c2, s2, n0, n1):
-    q = s2 / c2
-    B = 4.0 / c2
-    n = np.arange(n0, n1, dtype=np.float64)
-    w = np.exp(n * lnq) / (2.0 * c2)
-    T = n / s2 + q
-    return float((w * (np.sqrt(T * T + B) - T)).sum())
-
-
-@njit(cache=True)
-def entropy_chunk_numba(lnq, c2, s2, n0, n1):
-    """Returns (S_AD partial, S_D partial): -sum p log2 p over the chunk."""
-    inv_ln2 = 1.4426950408889634
-    acc_ad = 0.0
-    acc_d = 0.0
-    for n in range(n0, n1):
-        w = math.exp(n * lnq) / (2.0 * c2)
-        pa = w * (1.0 + (n + 1.0) / c2)
-        pd = w * (1.0 + n / s2)
-        if pa > 0.0:
-            acc_ad -= pa * math.log(pa) * inv_ln2
-        if pd > 0.0:
-            acc_d -= pd * math.log(pd) * inv_ln2
-    return acc_ad, acc_d
-
-
-def entropy_chunk_np(lnq, c2, s2, n0, n1):
-    n = np.arange(n0, n1, dtype=np.float64)
-    w = np.exp(n * lnq) / (2.0 * c2)
-    pa = w * (1.0 + (n + 1.0) / c2)
-    pd = w * (1.0 + n / s2)
-    pa = pa[pa > 0.0]
-    pd = pd[pd > 0.0]
-    acc_ad = float(-(pa * np.log2(pa)).sum())
-    acc_d = float(-(pd * np.log2(pd)).sum())
-    return acc_ad, acc_d
-
-
-@njit(cache=True)
-def mutinfo_chunk_numba(lnq, c2, s2, n0, n1):
-    """Sum of w_n * [e_n log2 e_n - c_n log2 c_n], e = 1+n/s2, c = 1+(n+1)/c2."""
-    inv_ln2 = 1.4426950408889634
-    acc = 0.0
-    for n in range(n0, n1):
-        w = math.exp(n * lnq) / (2.0 * c2)
-        e = 1.0 + n / s2
-        c = 1.0 + (n + 1.0) / c2
-        acc += w * (e * math.log(e) - c * math.log(c)) * inv_ln2
-    return acc
-
-
-def mutinfo_chunk_np(lnq, c2, s2, n0, n1):
-    n = np.arange(n0, n1, dtype=np.float64)
-    w = np.exp(n * lnq) / (2.0 * c2)
-    e = 1.0 + n / s2
-    c = 1.0 + (n + 1.0) / c2
-    return float((w * (e * np.log2(e) - c * np.log2(c))).sum())
-
-
-def get_series_impl():
-    """Chunk functions (neg, entropy, mutinfo) for the active backend."""
-    if USE_NUMBA:
-        return neg_chunk_numba, entropy_chunk_numba, mutinfo_chunk_numba
-    return neg_chunk_np, entropy_chunk_np, mutinfo_chunk_np

@@ -2,8 +2,7 @@
 states, entanglement sweeps, figure data, and the embedded selftest.
 
 Exit codes: 0 success, 1 numeric failure (JSON error record on stderr),
-2 usage error.  Output is byte-deterministic for a fixed invocation;
-DIAMOND_NUM_THREADS caps sweep parallelism without affecting results.
+2 usage error.  Output is byte-deterministic for a fixed invocation.
 """
 
 import argparse
@@ -242,8 +241,8 @@ def _report_row(rep: EntanglementReport) -> str:
     )
 
 
-def _fixed_nmax_report(r: float, n_max: int) -> EntanglementReport:
-    trunc = FockTruncation.fixed(n_max, r)
+def _fixed_nmax_report(r: float, n_max: int, tol: float) -> EntanglementReport:
+    trunc = FockTruncation.fixed(n_max, r, tol)
     s_a, s_d, s_ad = entropies(r, trunc)
     return EntanglementReport(
         r=r,
@@ -277,7 +276,7 @@ def cmd_entanglement(args) -> int:
         reports = []
         for idx, r in enumerate(r_values):
             try:
-                reports.append(_fixed_nmax_report(r, n_max))
+                reports.append(_fixed_nmax_report(r, n_max, args.tol))
             except Exception as exc:  # noqa: BLE001 - collected per point
                 reports.append(None)
                 errors[idx] = f"{type(exc).__name__}: {exc}"

@@ -17,10 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TruncationTooSmall
+from .errors import DomainCap, TruncationTooSmall
 from .modes import SqueezingParameter
 
 TRUNCATION_CAP = 10_000
+# Validated cap on r: the Euler-Maclaurin weights q^t / (2 cosh^2 r) of the
+# full series stay normal floats out to t = 60 cosh^2 r only for r < ~324,
+# and cosh^2 r overflows past r ~ 355.
+_R_MAX = 320.0
 
 
 class Representation(enum.Enum):
@@ -52,6 +56,12 @@ def _ln_tanh2(r: float) -> float:
     return -2.0 * math.log1p(2.0 / math.expm1(2.0 * r))
 
 
+def _check_r_cap(r: float) -> float:
+    if r > _R_MAX:
+        raise DomainCap(f"r = {r:.6g} exceeds the validated cap {_R_MAX:g} of the series")
+    return r
+
+
 def _trace_tail(r: float, n_max: int) -> float:
     """Weight of the dropped blocks: sum_{n >= n_max} w_n (1 + (n+1)/c2)."""
     if r == 0.0:
@@ -75,7 +85,7 @@ class FockTruncation:
     def auto(cls, r, tol: float = 1e-12, cap: int = TRUNCATION_CAP) -> "FockTruncation":
         """Smallest n_max with tail below tol, capped; the cap may leave a
         larger tail, which the assembly operations then reject."""
-        r = _as_r(r)
+        r = _check_r_cap(_as_r(r))
         if r == 0.0:
             return cls(2, 0.0, tol)
         lnq = _ln_tanh2(r)
@@ -87,9 +97,10 @@ class FockTruncation:
         return cls(n, _trace_tail(r, n), tol)
 
     @classmethod
-    def fixed(cls, n_max: int, r) -> "FockTruncation":
-        r = _as_r(r)
-        return cls(n_max, _trace_tail(r, n_max), None)
+    def fixed(cls, n_max: int, r, tol: Optional[float] = None) -> "FockTruncation":
+        """Exactly n_max blocks; check() rejects them only if tol is given."""
+        r = _check_r_cap(_as_r(r))
+        return cls(n_max, _trace_tail(r, n_max), tol)
 
     def check(self):
         if self.tol is not None and self.tail_bound > self.tol:

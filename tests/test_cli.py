@@ -145,6 +145,20 @@ def test_entanglement_fixed_nmax(capsys):
         assert row.split(",")[7] == "64"
 
 
+def test_entanglement_fixed_nmax_honours_tol(capsys):
+    # 200 blocks drop 27-59 % of the state on r in [3, 3.4]
+    code, out, err = run_cli(capsys, "entanglement", "--r-grid", "3.0:3.4:0.2", "--nmax", "200")
+    assert code == 1
+    assert out.strip() == "r,neg_log,negativity,s_a,s_d,s_ad,mutual_info,n_max_used,tail_bound"
+    failure = json.loads(err)["error"]
+    assert failure["type"] == "SweepPointFailures"
+    assert sorted(failure["points"]) == ["0", "1", "2"]
+    assert all(msg.startswith("TruncationTooSmall") for msg in failure["points"].values())
+    code, _, _ = run_cli(capsys, "entanglement", "--r-grid", "3.0:3.4:0.2", "--nmax", "200",
+                         "--tol", "1")
+    assert code == 0
+
+
 def test_entanglement_usage_error(capsys):
     code, _, err = run_cli(capsys, "entanglement", "--r-grid", "0:1:0.5",
                            "--lifetime-grid", "1:2:1")

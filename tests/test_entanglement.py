@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -6,6 +7,35 @@ import pytest
 
 import diamondqi as dq
 from diamondqi.entanglement import _direct_measures, _em_measures
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_measures(r):
+    """(neg_log, negativity, s_d, s_ad, mutual_info) at 30 digits, summed
+    with mpmath.sumem from the eigenvalues of the PT blocks, of the rho_AD
+    blocks and of Dave's reduced state."""
+    with mpmath.workdps(30):
+        r = mpmath.mpf(r)
+        c2 = mpmath.cosh(r) ** 2
+        s2 = mpmath.sinh(r) ** 2
+        q = mpmath.tanh(r) ** 2
+
+        def w(n):
+            return q ** n / (2 * c2)
+
+        def excess(n):
+            # |lambda+| + |lambda-| - (lambda+ + lambda-) of the PT block
+            a, c, g = w(n) * n / s2, w(n) * q, w(n) * mpmath.sqrt((n + 1) / c2)
+            return mpmath.sqrt((a - c) ** 2 + 4 * g * g) - (a + c)
+
+        def h(p):
+            return -p * mpmath.log(p, 2)
+
+        d = mpmath.sumem(excess, [0, mpmath.inf])
+        s_d = mpmath.sumem(lambda n: h(w(n) * (1 + n / s2)), [0, mpmath.inf])
+        s_ad = mpmath.sumem(lambda n: h(w(n) * (1 + (n + 1) / c2)), [0, mpmath.inf])
+        values = (mpmath.log(1 + d, 2), d / 2, s_d, s_ad, 1 + s_d - s_ad)
+        return tuple(float(v) for v in values)
 
 
 def textbook_form_pairs(r, n_max):
@@ -201,6 +231,39 @@ def test_entropies_follow_the_asymptote_up_to_the_domain_cap():
         assert abs(s_ad - base) < 1e-12 * base
     with pytest.raises(dq.DomainCap):
         dq.report_for(321.0)
+
+
+def test_negativity_matches_mpmath_at_large_r():
+    # w (sqrt(T^2 + B) - T) cancels as B = 4/cosh^2 r -> 0; at r = 10 it
+    # left neg_log only nine correct digits
+    for r in (4.0, 6.0, 8.0, 10.0, 12.0):
+        neg_log, neg = mpmath_measures(r)[:2]
+        rep = dq.report_for(r)
+        assert abs(rep.neg_log - neg_log) < 1e-13 * neg_log
+        assert abs(rep.negativity - neg) < 1e-13 * neg
+
+
+def test_em_tail_bound_is_honest_and_tight():
+    # neg_log and negativity fall like 1/cosh^2 r, so the bound, one number
+    # for all five measures, is held tight against the O(1) ones only
+    for r in (4.0, 4.2, 5.0, 8.0, 10.0, 12.0):
+        rep = dq.report_for(r)
+        assert rep.n_max_used == 0
+        ref = mpmath_measures(r)
+        got = (rep.neg_log, rep.negativity, rep.s_d, rep.s_ad, rep.mutual_info)
+        for value, exact in zip(got, ref):
+            assert abs(value - exact) <= rep.tail_bound
+        for exact in ref[2:]:
+            assert rep.tail_bound <= 1e-12 * exact
+
+
+def test_measures_decrease_across_the_route_switch():
+    reports = [dq.report_for(3.9 + 1e-3 * i) for i in range(201)]
+    assert reports[0].n_max_used > 0 and reports[-1].n_max_used == 0
+    nl = [rep.neg_log for rep in reports]
+    mi = [rep.mutual_info for rep in reports]
+    assert all(b < a for a, b in zip(nl, nl[1:]))
+    assert all(b < a for a, b in zip(mi, mi[1:]))
 
 
 def test_direct_and_em_routes_agree_in_overlap():

@@ -35,6 +35,17 @@ def test_auto_truncation_cap_raises_downstream():
         dq.build_rho_ad(4.0, trunc)
 
 
+def test_truncations_raise_domain_cap_past_the_series_cap():
+    # cosh(400)^2 overflows; the cap is the one the full series use
+    with pytest.raises(dq.DomainCap):
+        dq.FockTruncation.auto(400.0)
+    with pytest.raises(dq.DomainCap):
+        dq.FockTruncation.fixed(10, 400.0)
+    with pytest.raises(dq.DomainCap):
+        dq.FockTruncation.fixed(10, 321.0)
+    assert dq.FockTruncation.fixed(10, 320.0).n_max == 10
+
+
 def test_fixed_truncation_never_raises():
     st = dq.build_rho_ad(4.0, dq.FockTruncation.fixed(80, 4.0))
     assert st.n_max == 80
