@@ -1,10 +1,11 @@
 """Entanglement and correlation measures with closed-form series primaries.
 
 The partial-transpose spectrum, logarithmic negativity, entropies, and
-mutual information are all geometric-type series in q = tanh^2 r.  Two
+mutual information are all geometric-type series in q = tanh^2 r.  Three
 evaluation routes are used:
 
-* one vectorized direct sum for r < 4, where at most ~2.9e4 terms
+* the r = 0 values for r < 1e-75, which they match to within r;
+* one vectorized direct sum for 1e-75 <= r < 4, where at most ~2.9e4 terms
   reach a geometric tail below 1e-15, and
 * an Euler-Maclaurin integral approximation of the sums for r >= 4, where
   the weight spreads over ~cosh^2 r Fock levels and direct summation would
@@ -44,6 +45,9 @@ _SERIES_TOL = 1e-15
 # mpmath sum to ~2e-15 relative there; below it the direct sum needs at most
 # ~2.9e4 terms.
 _R_EM = 4.0
+# below _R_LIMIT every measure is within 4 r^2 (1 + 2 ln(1/r)) < r of its
+# r = 0 limit, and T^2 ~ (t/sinh^2 r)^2 in the direct sum would overflow
+_R_LIMIT = 1e-75
 _EM_XMAX = 60.0
 _EM_PANELS = 60
 _EM_NODES = 20
@@ -165,27 +169,50 @@ def _summands(t: np.ndarray, lnq: float, c2: float, s2: float) -> np.ndarray:
     ))
 
 
-def _pack(sums, lnq: float, n_used: int, tail: float) -> dict:
-    d_sum, s_ad, s_d, mi_sum = (float(x) for x in sums)
+def _pack(sums, mutual_info: float, n_used: int, tail: float) -> dict:
+    d_sum, s_ad, s_d, _ = (float(x) for x in sums)
     return {
         "neg_log": math.log1p(d_sum) / _LN2,
         "negativity": 0.5 * d_sum,
         "s_d": s_d,
         "s_ad": s_ad,
-        "mutual_info": 1.0 - 0.5 * lnq / _LN2 - mi_sum,
+        "mutual_info": mutual_info,
         "n_max_used": n_used,
         "tail_bound": tail,
     }
 
 
 def _direct_measures(r: float) -> dict:
-    """Direct route: the summands up to a geometric tail below _SERIES_TOL."""
+    """Direct route: the summands up to a geometric tail below _SERIES_TOL.
+
+    tail_bound is that tail plus the rounding of the sum, sqrt(N) eps S_D.
+    Two terms are set from closed forms, because their summands cancel two
+    terms of size |ln q| as r -> 0:
+    * Dave's eigenvalues p_0 and p_1 are both 1/(2 c2), so S_D's t = 1 term
+      is its t = 0 term;
+    * I = 1 - 0.5 ln q/ln 2 - sum m_t is summed as 2 - delta.  The t = 1
+      Dave part of m_1 is exactly -ln q/(2 c2 ln 2) and m_0 is
+      -a_0 log2(2 - q), a_0 = (2 - q)(1 - q)/2.  Folded into the constants,
+      they leave delta a sum of terms that all vanish with r, accurate
+      relative to itself, so I stays below 2.
+    """
     c2 = math.cosh(r) ** 2
     lnq = _ln_tanh2(r)
+    q = math.exp(lnq)
     n_used = _n_for_series(lnq, c2, _SERIES_TOL)
-    sums = _summands(np.arange(n_used, dtype=float), lnq, c2, math.sinh(r) ** 2).sum(axis=1)
+    terms = _summands(np.arange(n_used, dtype=float), lnq, c2, math.sinh(r) ** 2)
+    terms[2, 1] = terms[2, 0]
+    terms[3, :2] = 0.0
+    sums = terms.sum(axis=1)
+    a0 = 0.5 * (2.0 - q) * (1.0 - q)
+    a1_lc1 = 0.5 * q / c2 * (1.0 + 2.0 / c2) * math.log1p(2.0 / c2)
+    delta = (
+        0.5 * q * lnq / _LN2 + q * (1.5 - 0.5 * q) - a0 * math.log1p(-0.5 * q) / _LN2
+        - a1_lc1 / _LN2 + float(sums[3])
+    )
     tail = math.exp(n_used * lnq) * (1.0 + n_used / (2.0 * c2))
-    return _pack(sums, lnq, n_used, tail)
+    rounding = math.sqrt(n_used) * _EPS * abs(float(sums[2]))
+    return _pack(sums, 2.0 - delta, n_used, tail + rounding)
 
 
 def _em_measures(r: float) -> dict:
@@ -220,13 +247,14 @@ def _em_measures(r: float) -> dict:
     sums = integral + 0.5 * phi[:, 0] - dphi0 / 12.0 + third
 
     rounding = math.sqrt(_EM_X.size) * _EPS * abs(float(sums[2]))
-    return _pack(sums, lnq, 0, float(np.abs(third).max()) + rounding)
+    mutual_info = 1.0 - 0.5 * lnq / _LN2 - float(sums[3])
+    return _pack(sums, mutual_info, 0, float(np.abs(third).max()) + rounding)
 
 
 def _measures_full(r: float) -> dict:
-    """All measures from the untruncated series (analytic-limit branch at 0)."""
+    """All measures from the untruncated series (analytic limit for r < _R_LIMIT)."""
     r = _as_r(r)
-    if r == 0.0:
+    if r < _R_LIMIT:
         return {
             "neg_log": 1.0,
             "negativity": 0.5,
@@ -234,7 +262,7 @@ def _measures_full(r: float) -> dict:
             "s_ad": 0.0,
             "mutual_info": 2.0,
             "n_max_used": 1,
-            "tail_bound": 0.0,
+            "tail_bound": r,
         }
     _check_r_cap(r)
     if r < _R_EM:

@@ -222,10 +222,12 @@ def bogoliubov_quadrature(
         return np.exp(0.5j * omega_hat * np.log((tau + 1.0) / (tau - 1.0)) + sign * 1j * k_hat * tau)
 
     # substitute y = e^p on each vertical leg; limits sized to the decay
-    # e^{-k y} and the bounded modulus factor e^{pi w/4} of the power
+    # e^{-k y} and the bounded modulus factor e^{pi w/4} of the power.  In p
+    # the only phase is (w/2) p; the decay is not oscillation, so the grid
+    # density follows w alone.
     p_lo = math.log(rel_tol) - 5.0 - 0.4 * omega_hat
     p_hi = math.log((math.log(1.0 / rel_tol) + omega_hat + 5.0) / k_hat) + 0.5
-    hint = 0.5 * omega_hat + math.log(1.0 / rel_tol) + omega_hat + 5.0
+    hint = 1.0 + omega_hat
     spec = QuadratureSpec(p_lo, p_hi, rel_tol=rel_tol, max_subdivisions=16, oscillation_hint=hint)
 
     def side(b):

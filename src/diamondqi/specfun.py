@@ -2,30 +2,23 @@
 
 Only the parameter regime needed downstream is targeted: complex ``a``,
 real ``b`` (= 2 in practice), and purely imaginary ``z`` up to a configurable
-magnitude cap.  The series loses roughly 0.43*|z| digits to cancellation for
-imaginary arguments, so evaluation is routed by |z|:
-
-* |z| <= 12: complex128 Maclaurin series with pairwise summation,
-* |z| <= 45: the same series with the term recurrence in double-double,
-* |z| <= cap (default 200): term-by-term summation in adaptive-precision
-  arithmetic (mpmath), working digits scaled with the expected cancellation.
-
-The thresholds are measured, not theoretical: the complex128 series holds
-1e-10 relative error only up to |z| ~ 14, and double-double up to ~50.
+magnitude cap.  ``kummer_m`` has one route for every z: ``mpmath.hyp1f1`` at
+53-bit working precision.  Its hypergeometric summation detects the
+cancellation of the series (about 0.43*|z| digits for imaginary arguments)
+and raises its internal precision to compensate, so the result is correct to
+double precision; pinning the working precision keeps a caller's global
+``mp.dps`` from changing it.
 """
 
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import NoConvergence as _MpNoConvergence
 
-from ._kernels import kummer_series_c128, kummer_series_dd
 from .errors import DomainCap, NonConvergence
 
-_Z_C128 = 12.0
-_Z_DD = 45.0
 DEFAULT_Z_CAP = 200.0
-_MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -42,36 +35,11 @@ class KummerParams:
             raise ValueError(f"b={self.b} is a nonpositive integer (pole of M)")
 
 
-def _kummer_mp(a: complex, b: complex, z: complex) -> complex:
-    """Term-by-term summation at a working precision sized to the cancellation."""
-    digits = int(30 + 0.45 * abs(z) + 0.75 * abs(a.imag) + 0.75 * abs(b.imag))
-    with mp.workdps(digits):
-        ma, mb, mz = mp.mpc(a), mp.mpc(b), mp.mpc(z)
-        t = mp.mpc(1)
-        s = mp.mpc(1)
-        tol = mp.mpf(10) ** (-(digits - 5))
-        run = 0
-        absz = abs(z)
-        for n in range(_MAX_TERMS):
-            t = t * (ma + n) * mz / ((mb + n) * (n + 1))
-            s += t
-            if n > absz and abs(t) < tol * max(abs(s), mp.mpf(1e-300)):
-                run += 1
-                if run >= 3:
-                    return complex(s)
-            else:
-                run = 0
-    raise NonConvergence(
-        f"Kummer series did not converge within {_MAX_TERMS} terms",
-        best_estimate=complex(s),
-    )
-
-
 def kummer_m(params: KummerParams, z_cap: float = DEFAULT_Z_CAP) -> complex:
     """M(a, b, z) with relative error <= 1e-10 for |z| <= z_cap.
 
-    Raises DomainCap beyond the cap and NonConvergence if the term budget
-    runs out.
+    Raises DomainCap beyond the cap and NonConvergence if mpmath's summation
+    does not converge.
     """
     a, b, z = complex(params.a), complex(params.b), complex(params.z)
     if z == 0:
@@ -79,17 +47,11 @@ def kummer_m(params: KummerParams, z_cap: float = DEFAULT_Z_CAP) -> complex:
     absz = abs(z)
     if absz > z_cap:
         raise DomainCap(f"|z| = {absz:.3g} exceeds the validated cap {z_cap:.3g}")
-    if absz <= _Z_C128:
-        value, _, converged = kummer_series_c128(a, b, z, _MAX_TERMS)
-        if not converged:
-            raise NonConvergence("Kummer series stalled", best_estimate=value)
-        return complex(value)
-    if absz <= _Z_DD and b.imag == 0.0:
-        re, im, _, converged = kummer_series_dd(a.real, a.imag, b.real, z.real, z.imag, _MAX_TERMS)
-        if not converged:
-            raise NonConvergence("Kummer double-double series stalled", best_estimate=complex(re, im))
-        return complex(re, im)
-    return _kummer_mp(a, b, z)
+    try:
+        with mp.workprec(53):
+            return complex(mp.hyp1f1(a, b, z))
+    except _MpNoConvergence as exc:
+        raise NonConvergence(f"mpmath hyp1f1 did not converge: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from diamondqi.specfun import KummerParams, kummer_m
 
 
 @pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Touch each JIT kernel once so timed tests measure steady state."""
+def warm_up():
+    """First calls of kummer_m and report_for, which load mpmath's
+    hypergeometric code, so the timed acceptance tests measure steady state."""
     kummer_m(KummerParams(1 - 0.5j, 2.0, 2j))
     kummer_m(KummerParams(1 - 0.5j, 2.0, 30j))
     dq.report_for(1.0)

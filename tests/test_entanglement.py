@@ -12,8 +12,9 @@ from diamondqi.entanglement import _direct_measures, _em_measures
 @functools.lru_cache(maxsize=None)
 def mpmath_measures(r):
     """(neg_log, negativity, s_d, s_ad, mutual_info) at 30 digits, summed
-    with mpmath.sumem from the eigenvalues of the PT blocks, of the rho_AD
-    blocks and of Dave's reduced state."""
+    from the eigenvalues of the PT blocks, of the rho_AD blocks and of
+    Dave's reduced state: term by term for r <= 2.3, where the summands
+    decay too fast for Euler-Maclaurin, and with mpmath.sumem above."""
     with mpmath.workdps(30):
         r = mpmath.mpf(r)
         c2 = mpmath.cosh(r) ** 2
@@ -31,9 +32,19 @@ def mpmath_measures(r):
         def h(p):
             return -p * mpmath.log(p, 2)
 
-        d = mpmath.sumem(excess, [0, mpmath.inf])
-        s_d = mpmath.sumem(lambda n: h(w(n) * (1 + n / s2)), [0, mpmath.inf])
-        s_ad = mpmath.sumem(lambda n: h(w(n) * (1 + (n + 1) / c2)), [0, mpmath.inf])
+        if r <= 2.3:
+            # q^n below 1e-36 of the leading terms
+            n_max = int(mpmath.ceil(-83 / mpmath.log(q))) + 2
+
+            def total(f):
+                return mpmath.fsum(f(n) for n in range(n_max))
+        else:
+            def total(f):
+                return mpmath.sumem(f, [0, mpmath.inf])
+
+        d = total(excess)
+        s_d = total(lambda n: h(w(n) * (1 + n / s2)))
+        s_ad = total(lambda n: h(w(n) * (1 + (n + 1) / c2)))
         values = (mpmath.log(1 + d, 2), d / 2, s_d, s_ad, 1 + s_d - s_ad)
         return tuple(float(v) for v in values)
 
@@ -255,6 +266,30 @@ def test_em_tail_bound_is_honest_and_tight():
             assert abs(value - exact) <= rep.tail_bound
         for exact in ref[2:]:
             assert rep.tail_bound <= 1e-12 * exact
+
+
+def test_direct_tail_bound_is_honest():
+    # the geometric tail alone read 9.2e-16 at r = 3.99, where S_D summed
+    # over 27474 terms is 6.0e-14 off
+    for r in (0.5, 2.0, 3.5, 3.8, 3.99):
+        rep = dq.report_for(r)
+        assert rep.n_max_used > 0
+        got = (rep.neg_log, rep.negativity, rep.s_d, rep.s_ad, rep.mutual_info)
+        for value, exact in zip(got, mpmath_measures(r)):
+            assert abs(value - exact) <= rep.tail_bound
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-50, 1e-100, 1e-160, 1e-300])
+def test_small_r_reports_are_finite_bounded_and_exact(r):
+    # 1 - 0.5 ln q/ln 2 - sum cancelled two terms of size |ln q| and put I
+    # above 2; below r ~ 1e-154 sinh^2 r underflowed and the sums read NaN
+    rep = dq.report_for(r)
+    got = (rep.neg_log, rep.negativity, rep.s_d, rep.s_ad, rep.mutual_info)
+    assert all(math.isfinite(v) for v in got)
+    assert 1.0 <= rep.mutual_info <= 2.0
+    for value, exact in zip(got, mpmath_measures(r)):
+        assert abs(value - exact) <= 1e-12
+        assert abs(value - exact) <= rep.tail_bound
 
 
 def test_measures_decrease_across_the_route_switch():

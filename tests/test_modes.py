@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -192,6 +193,28 @@ def test_exterior_positive_frequency_relations(chart):
         b_ext = dq.bogoliubov_quadrature(chart, w, k, "beta", ModeRegion.EXT)
         assert abs(math.cosh(r) * b_int + math.sinh(r) * a_ext.conjugate()) < 1e-8 * abs(b_int)
         assert abs(math.cosh(r) * b_ext + math.sinh(r) * a_int.conjugate()) < 1e-8 * abs(a_int)
+
+
+def test_exterior_quadrature_matches_positive_frequency_identity(chart):
+    # alpha_ext = -conj(beta_int)/tanh r and beta_ext = -tanh r conj(alpha_int),
+    # with the interior coefficients from a 40-digit Kummer closed form
+    def interior(w, k, sign):
+        with mp.workdps(40):
+            m = mp.hyp1f1(mp.mpc(1, -w / 2), 2, mp.mpc(0, 2 * sign * k))
+            pref = mp.mpf(chart.alpha) / 2 * mp.sqrt(w * k) / mp.sinh(mp.pi * w / 2)
+            return complex(pref * mp.expj(-sign * k) * m)
+
+    rng = np.random.default_rng(77)
+    for _ in range(8):
+        w = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
+        k = math.exp(rng.uniform(math.log(0.05), 0.0))
+        tanh_r = math.exp(-math.pi * w / 2.0)
+        want_alpha = -interior(w, k, -1).conjugate() / tanh_r
+        want_beta = -tanh_r * interior(w, k, 1).conjugate()
+        a_ext = dq.bogoliubov_quadrature(chart, w, k, "alpha", ModeRegion.EXT)
+        b_ext = dq.bogoliubov_quadrature(chart, w, k, "beta", ModeRegion.EXT)
+        assert abs(a_ext - want_alpha) < 1e-10 * abs(want_alpha)
+        assert abs(b_ext - want_beta) < 1e-10 * abs(want_beta)
 
 
 def test_bogoliubov_pair_both_methods(chart):

@@ -53,6 +53,60 @@ def test_kummer_all_branches_meet_tolerance(x, w):
     assert abs(got - ref) / abs(ref) < 1e-10
 
 
+def series_condition(a, b, z):
+    """sum |t_n| / |M| of the Maclaurin series: the cancellation it suffers."""
+    with mp.workdps(30):
+        t = total = mp.mpf(1)
+        n = 0
+        while n <= abs(z) or t > mp.mpf(10) ** -20 * total:
+            t *= abs((mp.mpc(a) + n) * mp.mpc(z) / ((mp.mpc(b) + n) * (n + 1)))
+            total += t
+            n += 1
+        return float(total / abs(mp.hyp1f1(a, b, z)))
+
+
+@pytest.mark.parametrize("w, k", [(5.974, 5.7), (6.0, 5.95)])
+def test_kummer_ill_conditioned_beta_points(w, k):
+    # the complex128 series lost 7.8e-9 and 2.5e-10 here, at |z| < 12
+    a, z = 1 - 0.5j * w, -2j * k
+    ref = kummer_oracle(a, 2, z)
+    assert abs(kummer_m(KummerParams(a, 2.0, z)) - ref) / abs(ref) < 1e-10
+
+
+def test_kummer_ill_conditioned_scan():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 12:
+        a = 1 - 0.5j * rng.uniform(2.0, 8.0)
+        z = 1j * rng.choice([-1.0, 1.0]) * rng.uniform(6.0, 12.0)
+        if series_condition(a, 2, z) <= 1e6:
+            continue
+        ref = kummer_oracle(a, 2, z)
+        assert abs(kummer_m(KummerParams(a, 2.0, z)) - ref) / abs(ref) < 1e-10
+        checked += 1
+
+
+def test_kummer_ignores_global_mpmath_precision():
+    points = [KummerParams(1 - 0.5j * w, 2.0, 1j * x) for w in (0.2, 6.0) for x in (-11.4, 3.0, 30.0, 150.0)]
+    base = [kummer_m(p) for p in points]
+    saved = mp.mp.dps
+    try:
+        for dps in (5, 50):
+            mp.mp.dps = dps
+            assert [kummer_m(p) for p in points] == base
+    finally:
+        mp.mp.dps = saved
+
+
+def test_kummer_maps_mpmath_nonconvergence(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise mp.libmp.NoConvergence("stalled")
+
+    monkeypatch.setattr(mp, "hyp1f1", stalled)
+    with pytest.raises(NonConvergence):
+        kummer_m(KummerParams(1 - 0.5j, 2.0, 3j))
+
+
 def test_kummer_domain_cap():
     with pytest.raises(DomainCap):
         kummer_m(KummerParams(1 - 0.5j, 2.0, 300j))
