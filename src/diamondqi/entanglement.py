@@ -1,17 +1,21 @@
 """Entanglement and correlation measures with closed-form series primaries.
 
 The partial-transpose spectrum, logarithmic negativity, entropies, and
-mutual information are all geometric-type series in q = tanh^2 r.  Three
-evaluation routes are used:
+mutual information are all geometric-type series in q = tanh^2 r.  One
+engine, ``_series``, sums them for every r >= 1e-75 (below that the r = 0
+values stand in, to within r):
 
-* the r = 0 values for r < 1e-75, which they match to within r;
-* one vectorized direct sum for 1e-75 <= r < 4, where at most ~2.9e4 terms
-  reach a geometric tail below 1e-15, and
-* an Euler-Maclaurin integral approximation of the sums for r >= 4, where
-  the weight spreads over ~cosh^2 r Fock levels and direct summation would
-  need up to billions of terms; its Gauss-Legendre table is built once, at
-  import.  Reports from this route carry n_max_used = 0.  The two routes
-  agree to ~5e-15 relative on r in [4, 5.2].
+* the first K = 512 terms are summed directly, in one vectorized pass;
+  where that reaches a geometric tail below 1e-15 (r up to ~1.934) the sum
+  stops there;
+* past that the weight spreads over ~cosh^2 r Fock levels, and the terms
+  from t = K on are an Euler-Maclaurin tail: an integral over a 64-node
+  Gauss-Legendre table built once at import, plus end corrections from
+  stencils on the head.  Reports with a tail carry n_max_used = 0.
+
+Every call costs at most K + 1 + 64 summands, and the measures match a
+30-digit mpmath sum to ~3e-15 relative on r in [0.1, 12].  The measures
+of an explicit Fock truncation are the same sums over the retained blocks.
 
 A useful exact rearrangement: the block traces of the partial transpose
 telescope to 1, so the trace norm is 1 + D with
@@ -41,30 +45,42 @@ from .states import (
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
 _SERIES_TOL = 1e-15
-# r >= _R_EM takes the Euler-Maclaurin route, which matches a 30-digit
-# mpmath sum to ~2e-15 relative there; below it the direct sum needs at most
-# ~2.9e4 terms.
-_R_EM = 4.0
 # below _R_LIMIT every measure is within 4 r^2 (1 + 2 ln(1/r)) < r of its
-# r = 0 limit, and T^2 ~ (t/sinh^2 r)^2 in the direct sum would overflow
+# r = 0 limit, and T^2 ~ (t/sinh^2 r)^2 in the summands would overflow
 _R_LIMIT = 1e-75
-_EM_XMAX = 60.0
-_EM_PANELS = 60
-_EM_NODES = 20
+# terms summed directly; a series that needs more gets an Euler-Maclaurin
+# tail from t = _HEAD, which puts the switch at r ~ 1.934
+_HEAD = 512
+# Gauss-Legendre panels on [0, 48] in x = (t - _HEAD)/cosh^2 r, each as
+# wide as twice its distance to the integrand's nearest singularities, near
+# x = -1; past x = 48 the tail is below e^-48
+_TAIL_EDGES = np.array([0.0, 2.0, 8.0, 26.0, 48.0])
+_TAIL_NODES = 16
+# phi'''(_HEAD)/720 from a 5-point backward stencil on t = _HEAD - 4.._HEAD
+_D3 = np.array([3.0, -14.0, 24.0, -18.0, 5.0]) / 1440.0
 
 
-def _em_table():
-    """Gauss-Legendre nodes and weights on [0, _EM_XMAX], panel by panel."""
-    xs, ws = leggauss(_EM_NODES)
-    edges = np.linspace(0.0, _EM_XMAX, _EM_PANELS + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
+def _tail_table():
+    """Gauss-Legendre nodes and weights on the _TAIL_EDGES panels."""
+    xs, ws = leggauss(_TAIL_NODES)
+    mid = 0.5 * (_TAIL_EDGES[:-1] + _TAIL_EDGES[1:])[:, None]
+    half = 0.5 * np.diff(_TAIL_EDGES)[:, None]
     return (mid + half * xs).ravel(), (half * ws).ravel()
 
 
-# in units of cosh^2 r; the probes t = 0..3 give phi(0) and phi'''(0)
-_EM_X, _EM_W = _em_table()
-_EM_PROBE = np.arange(4.0)
+def _head_weights():
+    """Weights on t = 0.._HEAD of the head sum plus the Euler-Maclaurin
+    corrections phi(K)/2 - phi'(K)/12 + phi'''(K)/720, with phi' from a
+    5-point backward stencil."""
+    weights = np.ones(_HEAD + 1)
+    weights[-1] = 0.5
+    weights[-5:] += _D3 - np.array([3.0, -16.0, 36.0, -48.0, 25.0]) / 144.0
+    return weights
+
+
+# built once, at import; the tail nodes are in units of cosh^2 r past _HEAD
+_HEAD_W = _head_weights()
+_TAIL_X, _TAIL_W = _tail_table()
 
 
 @dataclass(frozen=True)
@@ -169,23 +185,21 @@ def _summands(t: np.ndarray, lnq: float, c2: float, s2: float) -> np.ndarray:
     ))
 
 
-def _pack(sums, mutual_info: float, n_used: int, tail: float) -> dict:
-    d_sum, s_ad, s_d, _ = (float(x) for x in sums)
-    return {
-        "neg_log": math.log1p(d_sum) / _LN2,
-        "negativity": 0.5 * d_sum,
-        "s_d": s_d,
-        "s_ad": s_ad,
-        "mutual_info": mutual_info,
-        "n_max_used": n_used,
-        "tail_bound": tail,
-    }
+def _series(r: float, n_max: Optional[int] = None) -> dict:
+    """All measures from the summands: over t < n_max when n_max is given
+    (a Fock truncation, no tail, and I = 1 + S_D - S_AD of those sums),
+    else the full series.
 
+    The full series is summed directly up to a geometric tail below
+    _SERIES_TOL, and tail_bound is that tail plus the rounding of the sum,
+    sqrt(N) eps S_D.  A series that needs more than _HEAD terms is summed
+    directly over t < K = _HEAD, and the rest is Euler-Maclaurin:
+    sum_{t >= K} phi ~ int_K phi + phi(K)/2 - phi'(K)/12 + phi'''(K)/720,
+    with phi' and phi''' from stencils on the head.  The summands vary on
+    the scale cosh^2 r there, so the neglected phi^(5)(K)/30240 and the
+    stencil errors lie far below the last correction; tail_bound is that
+    correction plus the rounding, and n_max_used is 0.
 
-def _direct_measures(r: float) -> dict:
-    """Direct route: the summands up to a geometric tail below _SERIES_TOL.
-
-    tail_bound is that tail plus the rounding of the sum, sqrt(N) eps S_D.
     Two terms are set from closed forms, because their summands cancel two
     terms of size |ln q| as r -> 0:
     * Dave's eigenvalues p_0 and p_1 are both 1/(2 c2), so S_D's t = 1 term
@@ -195,79 +209,62 @@ def _direct_measures(r: float) -> dict:
       -a_0 log2(2 - q), a_0 = (2 - q)(1 - q)/2.  Folded into the constants,
       they leave delta a sum of terms that all vanish with r, accurate
       relative to itself, so I stays below 2.
+    Below _R_LIMIT the r = 0 values stand in, with tail_bound = r.
     """
-    c2 = math.cosh(r) ** 2
-    lnq = _ln_tanh2(r)
-    q = math.exp(lnq)
-    n_used = _n_for_series(lnq, c2, _SERIES_TOL)
-    terms = _summands(np.arange(n_used, dtype=float), lnq, c2, math.sinh(r) ** 2)
-    terms[2, 1] = terms[2, 0]
-    terms[3, :2] = 0.0
-    sums = terms.sum(axis=1)
-    a0 = 0.5 * (2.0 - q) * (1.0 - q)
-    a1_lc1 = 0.5 * q / c2 * (1.0 + 2.0 / c2) * math.log1p(2.0 / c2)
-    delta = (
-        0.5 * q * lnq / _LN2 + q * (1.5 - 0.5 * q) - a0 * math.log1p(-0.5 * q) / _LN2
-        - a1_lc1 / _LN2 + float(sums[3])
-    )
-    tail = math.exp(n_used * lnq) * (1.0 + n_used / (2.0 * c2))
-    rounding = math.sqrt(n_used) * _EPS * abs(float(sums[2]))
-    return _pack(sums, 2.0 - delta, n_used, tail + rounding)
-
-
-def _em_measures(r: float) -> dict:
-    """Euler-Maclaurin route:
-    sum phi(n) ~ int phi + phi(0)/2 - phi'(0)/12 + phi'''(0)/720.
-
-    The summands vary on the scale cosh^2 r >> 1, so the correction series
-    converges extremely fast.  The reported tail_bound is the largest last
-    correction, which bounds the neglected phi^(5)(0)/30240 many times over,
-    plus the rounding of the quadrature, sqrt(nodes) * eps * S_D.
-    """
+    if r < _R_LIMIT:
+        return {"neg_log": 1.0, "negativity": 0.5, "s_d": 1.0, "s_ad": 0.0,
+                "mutual_info": 2.0, "n_max_used": 1, "tail_bound": r}
     c2 = math.cosh(r) ** 2
     s2 = math.sinh(r) ** 2
     lnq = _ln_tanh2(r)
-    phi = _summands(np.concatenate((_EM_PROBE, c2 * _EM_X)), lnq, c2, s2)
-    integral = c2 * (phi[:, _EM_PROBE.size:] @ _EM_W)
-
-    # phi'(0) of each summand, with w(0) = 1/(2 c2) and w'(0) = lnq w(0)
-    w0 = 1.0 / (2.0 * c2)
-    dw0 = lnq * w0
-    c0 = 1.0 + 1.0 / c2
-    lc0 = math.log1p(1.0 / c2)
-    root0 = math.sqrt((s2 / c2) ** 2 + 4.0 / c2)
-    dphi0 = np.array([
-        phi[0, 0] * (lnq - 1.0 / (s2 * root0)),
-        -(dw0 * c0 + w0 / c2) * (math.log(w0) + lc0 + 1.0) / _LN2,
-        -(dw0 + w0 / s2) * (math.log(w0) + 1.0) / _LN2,
-        (-dw0 * c0 * lc0 + w0 * (1.0 / s2 - (lc0 + 1.0) / c2)) / _LN2,
-    ])
-    # phi'''(0)/720 by finite differences; it is ~1e-13 of D at r = 4
-    third = (phi[:, 3] - 3.0 * phi[:, 2] + 3.0 * phi[:, 1] - phi[:, 0]) / 720.0
-    sums = integral + 0.5 * phi[:, 0] - dphi0 / 12.0 + third
-
-    rounding = math.sqrt(_EM_X.size) * _EPS * abs(float(sums[2]))
-    mutual_info = 1.0 - 0.5 * lnq / _LN2 - float(sums[3])
-    return _pack(sums, mutual_info, 0, float(np.abs(third).max()) + rounding)
+    q = math.exp(lnq)
+    n = _n_for_series(lnq, c2, _SERIES_TOL) if n_max is None else n_max
+    em = n > _HEAD and n_max is None
+    t = np.arange(_HEAD + 1 if em else n, dtype=float)
+    if em:
+        t = np.concatenate((t, _HEAD + c2 * _TAIL_X))
+    terms = _summands(t, lnq, c2, s2)
+    terms[2, 1:2] = terms[2, 0]
+    terms[3, :2] = 0.0
+    if em:
+        head = terms[:, :_HEAD + 1]
+        sums = head @ _HEAD_W + c2 * (terms[:, _HEAD + 1:] @ _TAIL_W)
+        n, tail, nodes = 0, float(np.abs(head[:, -5:] @ _D3).max()), t.size
+    else:
+        sums = terms.sum(axis=1)
+        tail, nodes = math.exp(n * lnq) * (1.0 + n / (2.0 * c2)), n
+    d_sum, s_ad, s_d, m_sum = (float(x) for x in sums)
+    if n_max is not None:
+        mutual_info = 1.0 + s_d - s_ad
+    else:
+        a0 = 0.5 * (2.0 - q) * (1.0 - q)
+        a1_lc1 = 0.5 * q / c2 * (1.0 + 2.0 / c2) * math.log1p(2.0 / c2)
+        mutual_info = 2.0 - (
+            0.5 * q * lnq / _LN2 + q * (1.5 - 0.5 * q) - a0 * math.log1p(-0.5 * q) / _LN2
+            - a1_lc1 / _LN2 + m_sum
+        )
+    return {
+        "neg_log": math.log1p(d_sum) / _LN2,
+        "negativity": 0.5 * d_sum,
+        "s_d": s_d,
+        "s_ad": s_ad,
+        "mutual_info": mutual_info,
+        "n_max_used": n,
+        "tail_bound": tail + math.sqrt(nodes) * _EPS * abs(s_d),
+    }
 
 
 def _measures_full(r: float) -> dict:
-    """All measures from the untruncated series (analytic limit for r < _R_LIMIT)."""
-    r = _as_r(r)
-    if r < _R_LIMIT:
-        return {
-            "neg_log": 1.0,
-            "negativity": 0.5,
-            "s_d": 1.0,
-            "s_ad": 0.0,
-            "mutual_info": 2.0,
-            "n_max_used": 1,
-            "tail_bound": r,
-        }
-    _check_r_cap(r)
-    if r < _R_EM:
-        return _direct_measures(r)
-    return _em_measures(r)
+    """All measures from the untruncated series."""
+    return _series(_check_r_cap(_as_r(r)))
+
+
+def _measures(r: float, trunc: Optional[FockTruncation]) -> dict:
+    """The full series, or its head over the blocks a truncation keeps."""
+    if trunc is None:
+        return _measures_full(r)
+    trunc.check()
+    return _series(_check_r_cap(r), trunc.n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -302,38 +299,14 @@ def negativity(r, trunc: Optional[FockTruncation] = None) -> float:
 def entropies(r, trunc: Optional[FockTruncation] = None) -> Tuple[float, float, float]:
     """Base-2 von Neumann entropies (S_A, S_D, S_AD); S_A = 1 exactly."""
     r = _as_r(r)
-    if r == 0.0:
-        return 1.0, 1.0, 0.0
-    if trunc is not None:
-        trunc.check()
-        w = _geometric_weights(r, trunc.n_max)
-        n = np.arange(trunc.n_max, dtype=float)
-        gam2 = (n + 1.0) / math.cosh(r) ** 2
-        wa = w * (1.0 + gam2)
-        wd = w + np.concatenate(([0.0], (w * gam2)[:-1]))
-        s_ad = float(-(wa[wa > 0] * np.log2(wa[wa > 0])).sum())
-        s_d = float(-(wd[wd > 0] * np.log2(wd[wd > 0])).sum())
-        return 1.0, s_d, s_ad
-    m = _measures_full(r)
+    m = _measures(r, trunc)
     return 1.0, m["s_d"], m["s_ad"]
 
 
 def mutual_information(r, trunc: Optional[FockTruncation] = None) -> float:
     """I = S_A + S_D - S_AD via the explicit series; in [1, 2], 2 at r = 0."""
     r = _as_r(r)
-    if r == 0.0:
-        return 2.0
-    if trunc is not None:
-        trunc.check()
-        s2 = math.sinh(r) ** 2
-        c2 = math.cosh(r) ** 2
-        w = _geometric_weights(r, trunc.n_max)
-        n = np.arange(trunc.n_max, dtype=float)
-        e = 1.0 + n / s2
-        c = 1.0 + (n + 1.0) / c2
-        series = float((w * (e * np.log(e) - c * np.log(c))).sum() / _LN2)
-        return 1.0 - 0.5 * _ln_tanh2(r) / _LN2 - series
-    return _measures_full(r)["mutual_info"]
+    return _measures(r, trunc)["mutual_info"]
 
 
 def report_for(r) -> EntanglementReport:

@@ -12,9 +12,7 @@ double precision; pinning the working precision keeps a caller's global
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import NoConvergence as _MpNoConvergence
 
 from .errors import DomainCap, NonConvergence
 
@@ -47,6 +45,11 @@ def kummer_m(params: KummerParams, z_cap: float = DEFAULT_Z_CAP) -> complex:
     absz = abs(z)
     if absz > z_cap:
         raise DomainCap(f"|z| = {absz:.3g} exceeds the validated cap {z_cap:.3g}")
+    # imported here, so that the modules that never call it skip mpmath's
+    # import time
+    import mpmath as mp
+    from mpmath.libmp import NoConvergence as _MpNoConvergence
+
     try:
         with mp.workprec(53):
             return complex(mp.hyp1f1(a, b, z))

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import mpmath
@@ -6,47 +5,12 @@ import numpy as np
 import pytest
 
 import diamondqi as dq
-from diamondqi.entanglement import _direct_measures, _em_measures
+from diamondqi.entanglement import _HEAD
+from mpmath_reference import grid_points, mpmath_measures, read_grid
 
-
-@functools.lru_cache(maxsize=None)
-def mpmath_measures(r):
-    """(neg_log, negativity, s_d, s_ad, mutual_info) at 30 digits, summed
-    from the eigenvalues of the PT blocks, of the rho_AD blocks and of
-    Dave's reduced state: term by term for r <= 2.3, where the summands
-    decay too fast for Euler-Maclaurin, and with mpmath.sumem above."""
-    with mpmath.workdps(30):
-        r = mpmath.mpf(r)
-        c2 = mpmath.cosh(r) ** 2
-        s2 = mpmath.sinh(r) ** 2
-        q = mpmath.tanh(r) ** 2
-
-        def w(n):
-            return q ** n / (2 * c2)
-
-        def excess(n):
-            # |lambda+| + |lambda-| - (lambda+ + lambda-) of the PT block
-            a, c, g = w(n) * n / s2, w(n) * q, w(n) * mpmath.sqrt((n + 1) / c2)
-            return mpmath.sqrt((a - c) ** 2 + 4 * g * g) - (a + c)
-
-        def h(p):
-            return -p * mpmath.log(p, 2)
-
-        if r <= 2.3:
-            # q^n below 1e-36 of the leading terms
-            n_max = int(mpmath.ceil(-83 / mpmath.log(q))) + 2
-
-            def total(f):
-                return mpmath.fsum(f(n) for n in range(n_max))
-        else:
-            def total(f):
-                return mpmath.sumem(f, [0, mpmath.inf])
-
-        d = total(excess)
-        s_d = total(lambda n: h(w(n) * (1 + n / s2)))
-        s_ad = total(lambda n: h(w(n) * (1 + (n + 1) / c2)))
-        values = (mpmath.log(1 + d, 2), d / 2, s_d, s_ad, 1 + s_d - s_ad)
-        return tuple(float(v) for v in values)
+# past this r the direct sum would need more than _HEAD terms, and the
+# series gets an Euler-Maclaurin tail (n_max_used = 0)
+R_SWITCH = 1.93369
 
 
 def textbook_form_pairs(r, n_max):
@@ -270,10 +234,11 @@ def test_em_tail_bound_is_honest_and_tight():
 
 def test_direct_tail_bound_is_honest():
     # the geometric tail alone read 9.2e-16 at r = 3.99, where S_D summed
-    # over 27474 terms is 6.0e-14 off
+    # over 27474 terms was 6.0e-14 off; only r = 0.5 is still summed
+    # directly, the rest carry an Euler-Maclaurin tail
     for r in (0.5, 2.0, 3.5, 3.8, 3.99):
         rep = dq.report_for(r)
-        assert rep.n_max_used > 0
+        assert (rep.n_max_used > 0) == (r < R_SWITCH)
         got = (rep.neg_log, rep.negativity, rep.s_d, rep.s_ad, rep.mutual_info)
         for value, exact in zip(got, mpmath_measures(r)):
             assert abs(value - exact) <= rep.tail_bound
@@ -293,22 +258,67 @@ def test_small_r_reports_are_finite_bounded_and_exact(r):
 
 
 def test_measures_decrease_across_the_route_switch():
-    reports = [dq.report_for(3.9 + 1e-3 * i) for i in range(201)]
-    assert reports[0].n_max_used > 0 and reports[-1].n_max_used == 0
-    nl = [rep.neg_log for rep in reports]
-    mi = [rep.mutual_info for rep in reports]
-    assert all(b < a for a, b in zip(nl, nl[1:]))
-    assert all(b < a for a, b in zip(mi, mi[1:]))
+    # around the old direct/Euler-Maclaurin switch at r = 4, and around the
+    # head switch, where the Euler-Maclaurin tail sets in
+    for lo in (3.9, 1.83):
+        reports = [dq.report_for(lo + 1e-3 * i) for i in range(201)]
+        nl = [rep.neg_log for rep in reports]
+        mi = [rep.mutual_info for rep in reports]
+        assert all(b < a for a, b in zip(nl, nl[1:]))
+        assert all(b < a for a, b in zip(mi, mi[1:]))
+    # the last window: summed directly below the head switch, with a tail above
+    direct = [rep.n_max_used > 0 for rep in reports]
+    assert direct == [lo + 1e-3 * i < R_SWITCH for i in range(201)]
 
 
-def test_direct_and_em_routes_agree_in_overlap():
+def test_measures_match_mpmath_where_the_routes_met():
+    # the two routes of the old engine agreed to 1e-10 (entropies 1e-9)
+    # here; the one engine matches mpmath at 1e-13 relative
     for r in (4.0, 4.6, 5.2):
-        d = _direct_measures(r)
-        e = _em_measures(r)
-        assert abs(d["neg_log"] - e["neg_log"]) < 1e-10
-        assert abs(d["mutual_info"] - e["mutual_info"]) < 1e-10
-        assert abs(d["s_d"] - e["s_d"]) < 1e-9
-        assert abs(d["s_ad"] - e["s_ad"]) < 1e-9
+        rep = dq.report_for(r)
+        got = (rep.neg_log, rep.negativity, rep.s_d, rep.s_ad, rep.mutual_info)
+        for value, exact in zip(got, mpmath_measures(r)):
+            assert abs(value - exact) <= 1e-13 * abs(exact)
+
+
+def test_measures_match_mpmath_on_a_fine_grid():
+    # r = 1.5..12 in steps of 0.025, across the head switch at r ~ 1.934
+    table = read_grid()
+    assert list(table) == grid_points()
+    for r, want in table.items():
+        rep = dq.report_for(r)
+        got = (rep.neg_log, rep.negativity, rep.s_d, rep.s_ad, rep.mutual_info)
+        for value, exact in zip(got, want):
+            assert abs(value - exact) <= 1e-14 * abs(exact)
+            assert abs(value - exact) <= rep.tail_bound
+
+
+def test_reference_grid_is_current():
+    table = read_grid()
+    for r in (grid_points()[0], grid_points()[200], grid_points()[-1]):
+        for value, exact in zip(table[r], mpmath_measures(r)):
+            assert abs(value - exact) <= 1e-15 * abs(exact)
+
+
+def test_series_cost_is_bounded_by_the_head():
+    grid = np.concatenate((np.logspace(-80, 0, 161), np.linspace(1.0, 320.0, 3191)))
+    for r in grid:
+        assert dq.report_for(r).n_max_used <= _HEAD
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-100, 1e-200])
+def test_truncated_measures_at_small_r(r):
+    # the truncated I summed 1 - 0.5 ln q/ln 2 - sum: 2 + 1e-13 at r = 1e-8,
+    # 2 + 7e-12 at 1e-100, and NaN at 1e-200, where S_AD read -0.0
+    trunc = dq.FockTruncation.auto(r)
+    s_a, s_d, s_ad = dq.entropies(r, trunc)
+    mi = dq.mutual_information(r, trunc)
+    rep = dq.report_for(r)
+    assert not any(math.isnan(v) for v in (s_a, s_d, s_ad, mi))
+    assert 1.0 <= mi <= 2.0
+    assert math.copysign(1.0, s_ad) == 1.0
+    for value, full in zip((s_a, s_d, s_ad, mi), (rep.s_a, rep.s_d, rep.s_ad, rep.mutual_info)):
+        assert abs(value - full) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -105,6 +108,15 @@ def test_kummer_maps_mpmath_nonconvergence(monkeypatch):
     monkeypatch.setattr(mp, "hyp1f1", stalled)
     with pytest.raises(NonConvergence):
         kummer_m(KummerParams(1 - 0.5j, 2.0, 3j))
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    # only kummer_m needs mpmath; map, figures, entanglement and state skip it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, diamondqi, diamondqi.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_kummer_domain_cap():
