@@ -50,14 +50,12 @@ from .geometry import (
     rindler_to_eta_xi,
 )
 from .modes import (
-    BogoliubovPair,
     Family,
     ModeRegion,
     ModeSpec,
     Sigma,
     SqueezingParameter,
     bogoliubov_closed_form,
-    bogoliubov_pair,
     bogoliubov_quadrature,
     eval_mode,
     squeezing_from_frequency,

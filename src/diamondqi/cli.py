@@ -1,5 +1,7 @@
 """Command-line front end: reproducible runs of the maps, coefficients,
-states, entanglement sweeps, figure data, and the embedded selftest.
+states, entanglement sweeps and figure data.  ``selftest`` runs every check
+of the invariant registry in ``diamondqi.invariants``; ``--perturb`` picks
+one of its negative controls.
 
 Exit codes: 0 success, 1 numeric failure (JSON error record on stderr),
 2 usage error.  Output is byte-deterministic for a fixed invocation.
@@ -10,9 +12,6 @@ import json
 import math
 import os
 import sys
-import time
-
-import numpy as np
 
 from . import __version__
 from .entanglement import (
@@ -22,25 +21,12 @@ from .entanglement import (
     mutual_information,
     negativity as neg_measure,
     entropies,
-    ppt_spectrum_closed_form,
-    ppt_spectrum_oracle,
     r_from_lifetime,
-    report_for,
     sweep,
 )
 from .errors import DiamondError
-from .geometry import (
-    DiamondChart,
-    EventCoords,
-    Frame,
-    classify_region,
-    conformal_factor,
-    convert,
-    diamond_coords,
-    eta_xi_to_rindler,
-    rindler_to_diamond,
-)
-from .geometry import _d2r_hat, _r2d_hat  # vectorized hatted kernels for batteries
+from .geometry import DiamondChart, EventCoords, Frame, classify_region, conformal_factor, convert
+from .invariants import PERTURBATIONS, run_selftest
 from .modes import (
     Family,
     ModeRegion,
@@ -50,18 +36,8 @@ from .modes import (
     bogoliubov_quadrature,
     eval_mode,
     squeezing_from_frequency,
-    thermal_occupation,
 )
-from .specfun import KummerParams, QuadratureSpec, kummer_m, oscillatory_integral
-from .states import (
-    FockTruncation,
-    build_rho_ad,
-    partial_transpose,
-    reduce_to_alice,
-    reduce_to_dave,
-    unruh_one_particle_coefficients,
-    unruh_vacuum_coefficients,
-)
+from .states import FockTruncation, build_rho_ad
 
 _FRAMES = {"diamond": Frame.DIAMOND, "rindler": Frame.RINDLER, "eta-xi": Frame.ETA_XI}
 _FAMILIES = {f.value: f for f in Family}
@@ -71,21 +47,34 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+_MAX_GRID_POINTS = 10**6
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _point(s: str):
     parts = s.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("point must be 't,x'")
-    return float(parts[0]), float(parts[1])
+    return _finite(parts[0]), _finite(parts[1])
 
 
 def _grid(s: str):
     parts = s.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be 'lo:hi:step'")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = (_finite(p) for p in parts)
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("grid needs step > 0 and hi >= lo")
-    count = int(math.floor((hi - lo) / step + 0.5)) + 1
+    span = (hi - lo) / step  # inf when the quotient overflows
+    if not span + 0.5 < _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid has more than {_MAX_GRID_POINTS} points")
+    count = int(math.floor(span + 0.5)) + 1
     return [lo + i * step for i in range(count)]
 
 
@@ -308,392 +297,6 @@ def cmd_figures(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# selftest battery
-# ---------------------------------------------------------------------------
-
-def _wedge_samples(rng, n, wedge):
-    """Hatted Rindler-spacetime points strictly inside one wedge."""
-    a = rng.uniform(-3.0, 3.0, n)
-    b = np.abs(a) + rng.uniform(0.05, 4.0, n)
-    if wedge == "R":
-        return a, b
-    if wedge == "L":
-        return a, -b
-    if wedge == "F":
-        return b, a
-    return -b, a
-
-
-def _check_roundtrip(rng, _):
-    worst = 0.0
-    for wedge in ("R", "L", "F", "P"):
-        tth, txh = _wedge_samples(rng, 10_000, wedge)
-        fp = (txh + 1.0) ** 2 - tth ** 2
-        th, xh = _r2d_hat(tth, txh)
-        fm = (xh - 1.0) ** 2 - th ** 2
-        keep = (np.abs(fm) > 1e-2) & (np.abs(fp) > 1e-2)
-        bt, bx = _d2r_hat(th[keep], xh[keep])
-        scale = np.maximum(1.0, np.maximum(np.abs(tth[keep]), np.abs(txh[keep])))
-        worst = max(worst, float(np.max(np.hypot(bt - tth[keep], bx - txh[keep]) / scale)))
-    return worst < 1e-12, f"worst rel {worst:.2e}"
-
-
-def _check_lambda_independence(rng, _):
-    charts = [DiamondChart(1.0, lam) for lam in (0.5, 1.0, 2.0, 5.0)]
-    worst = 0.0
-    for _ in range(100):
-        t, x = rng.uniform(-0.7, 0.7, 2)
-        if abs(t) + abs(x) > 0.95:
-            continue
-        arr = np.array(
-            [(e.c1, e.c2) for e in (diamond_coords(ch, EventCoords.diamond(t, x)) for ch in charts)]
-        )
-        worst = max(worst, float(np.ptp(arr[:, 0])), float(np.ptp(arr[:, 1])))
-    return worst < 1e-12, f"worst spread {worst:.2e}"
-
-
-def _check_boundary_lines(rng, _):
-    chart = DiamondChart(1.0, 2.0)
-    worst = 0.0
-    for s in rng.uniform(0.05, 5.0, 50):
-        for tt, tx in ((s, s), (s, -s), (-s, s), (-s, -s)):
-            p = rindler_to_diamond(chart, EventCoords.rindler(tt * chart.alpha_tilde, tx * chart.alpha_tilde))
-            V, U = p.lightcone()
-            worst = max(worst, min(abs(abs(V) - 1.0), abs(abs(U) - 1.0)))
-    return worst < 1e-12, f"worst off-line {worst:.2e}"
-
-
-def _check_horizon_worldline(rng, _):
-    chart = DiamondChart(1.0, 2.0)
-    ts = []
-    for eta in np.linspace(0.0, 6.0, 25):
-        p = rindler_to_diamond(chart, eta_xi_to_rindler(chart, EventCoords.eta_xi(eta, 0.0, 1)))
-        if abs(p.c1) + abs(p.c2) >= 1.0:
-            return False, f"left D at eta={eta}"
-        ts.append(p.c1)
-    monotone = all(b > a for a, b in zip(ts, ts[1:]))
-    near_top = abs(ts[-1] - 1.0) < 1e-4 and abs(p.c2) < 1e-4
-    return monotone and near_top, f"t(6) = {ts[-1]:.6f}"
-
-
-def _check_tanh_relation(rng, _):
-    chart = DiamondChart(1.0, 2.0)
-    worst = 0.0
-    for _ in range(200):
-        t, x = rng.uniform(-0.7, 0.7, 2)
-        if abs(t) + abs(x) > 0.95:
-            continue
-        e = diamond_coords(chart, EventCoords.diamond(t, x))
-        v, u = e.lightcone()
-        V, U = t + x, t - x
-        worst = max(worst, abs(V - math.tanh(v)), abs(U - math.tanh(u)))
-    return worst < 1e-12, f"worst {worst:.2e}"
-
-
-_REGION_BATTERY = [
-    ((0.0, 0.0), "D", "R"),
-    ((0.0, 2.0), "DBar", "L"),
-    ((0.0, -2.0), "DBar", "L"),
-    ((2.5, 0.0), "DBar", "L"),
-    ((-2.5, 0.0), "DBar", "L"),
-    ((0.5, -1.2), "DBarBar-F", "F"),
-    ((-0.5, 1.2), "DBarBar-F", "F"),
-    ((0.5, 1.2), "DBarBar-P", "P"),
-    ((-0.5, -1.2), "DBarBar-P", "P"),
-]
-
-
-def _check_region_battery(rng, _):
-    chart = DiamondChart(1.0, 2.0)
-    for (t, x), region, wedge in _REGION_BATTERY:
-        reg, tag = classify_region(chart, EventCoords.diamond(t, x))
-        if reg.value != region or tag.wedge.value != wedge:
-            return False, f"({t},{x}) -> {reg.value},{tag.wedge.value}, want {region},{wedge}"
-    return True, f"{len(_REGION_BATTERY)} points"
-
-
-def _check_metric(rng, _):
-    chart = DiamondChart(1.3, 2.0)
-
-    def comp(eta, xi):
-        q = rindler_to_diamond(chart, eta_xi_to_rindler(chart, EventCoords.eta_xi(eta, xi, 1)))
-        return np.array([q.c1, q.c2])
-
-    h = 1e-6 * chart.alpha
-    worst = 0.0
-    for _ in range(20):
-        eta, xi = rng.uniform(-0.5, 0.5, 2) * chart.alpha
-        J = np.empty((2, 2))
-        J[:, 0] = (comp(eta + h, xi) - comp(eta - h, xi)) / (2 * h)
-        J[:, 1] = (comp(eta, xi + h) - comp(eta, xi - h)) / (2 * h)
-        G = J.T @ np.diag([-1.0, 1.0]) @ J
-        om = conformal_factor(chart, eta_xi_to_rindler(chart, EventCoords.eta_xi(eta, xi, 1)))
-        pref = (4.0 / om) ** 2 * math.exp(4.0 * xi / chart.alpha)
-        worst = max(worst, float(np.max(np.abs(G - pref * np.diag([-1.0, 1.0]))) / pref))
-    return worst < 1e-6, f"worst rel {worst:.2e}"
-
-
-def _check_kummer(rng, _):
-    if abs(kummer_m(KummerParams(1 - 0.5j, 2.0, 0.0)) - 1.0) > 0:
-        return False, "M(a,b,0) != 1"
-    z = 2j
-    ident = abs(kummer_m(KummerParams(1.0, 2.0, z)) - (np.exp(z) - 1.0) / z)
-    if ident > 1e-14:
-        return False, f"M(1,2,z) identity off by {ident:.2e}"
-    worst = 0.0
-    for w in (0.5, 2.0, 7.0):
-        for x in (0.5, 3.0, 9.0):
-            a, b, zz = 1 - 0.5j * w, 2.0 + 0.0j, 1j * x
-            res = (
-                (b - a) * kummer_m(KummerParams(a - 1, b, zz))
-                + (2 * a - b + zz) * kummer_m(KummerParams(a, b, zz))
-                - a * kummer_m(KummerParams(a + 1, b, zz))
-            )
-            worst = max(worst, abs(res))
-            conj_gap = abs(
-                kummer_m(KummerParams(a, b, zz)).conjugate()
-                - kummer_m(KummerParams(a.conjugate(), b, -zz))
-            )
-            worst = max(worst, conj_gap)
-    return worst < 1e-8, f"worst residual {worst:.2e}"
-
-
-def _check_quadrature(rng, _):
-    k = 3.0
-    got = oscillatory_integral(
-        lambda u: np.exp(1j * k * u), QuadratureSpec(0.0, 1.0, 1e-12, oscillation_hint=k)
-    )
-    err = abs(got - (np.exp(1j * k) - 1.0) / (1j * k))
-    zero = oscillatory_integral(lambda u: np.zeros_like(u, dtype=complex), QuadratureSpec(0.0, 1.0))
-    return err < 1e-12 and zero == 0, f"closed-form err {err:.2e}"
-
-
-_BOG_GRID = [0.5, 1.0, 2.0, 4.0, 8.0]
-
-
-def _check_bogoliubov_grid(rng, perturb):
-    chart = DiamondChart(1.0)
-    factor = 1.001 if perturb == "bogoliubov-closed" else 1.0
-    worst = 0.0
-    for w in _BOG_GRID:
-        for k in _BOG_GRID:
-            for kind in ("alpha", "beta"):
-                c = factor * bogoliubov_closed_form(chart, w, k, kind)
-                q = bogoliubov_quadrature(chart, w, k, kind)
-                worst = max(worst, abs(c - q) / abs(c))
-    return worst < 1e-6, f"worst rel deviation {worst:.2e}"
-
-
-def _check_bogoliubov_symmetries(rng, _):
-    chart = DiamondChart(1.0)
-    worst_imag = 0.0
-    for (w, k) in ((0.7, 1.3), (2.0, 4.0)):
-        for kind in ("alpha", "beta"):
-            c = bogoliubov_closed_form(chart, w, k, kind)
-            worst_imag = max(worst_imag, abs(c.imag) / abs(c))
-    decays = abs(bogoliubov_closed_form(chart, 8.0, 2.0, "beta")) < abs(
-        bogoliubov_closed_form(chart, 4.0, 2.0, "beta")
-    )
-    return worst_imag < 1e-9 and decays, f"residual imag {worst_imag:.2e}"
-
-
-def _check_ext_positive_frequency(rng, _):
-    chart = DiamondChart(1.0)
-    worst = 0.0
-    for (w, k) in ((1.0, 1.0), (2.0, 1.5)):
-        r = squeezing_from_frequency(chart, w).r
-        b_int = bogoliubov_quadrature(chart, w, k, "beta", ModeRegion.INT)
-        a_ext = bogoliubov_quadrature(chart, w, k, "alpha", ModeRegion.EXT)
-        a_int = bogoliubov_quadrature(chart, w, k, "alpha", ModeRegion.INT)
-        b_ext = bogoliubov_quadrature(chart, w, k, "beta", ModeRegion.EXT)
-        h_int = abs(math.cosh(r) * b_int + math.sinh(r) * a_ext.conjugate()) / abs(b_int)
-        h_ext = abs(math.cosh(r) * b_ext + math.sinh(r) * a_int.conjugate()) / abs(a_int)
-        worst = max(worst, h_int, h_ext)
-    return worst < 1e-8, f"worst residual {worst:.2e}"
-
-
-def _check_thermality(rng, _):
-    chart = DiamondChart(1.0)
-    worst = 0.0
-    for wh in np.linspace(0.1, 20.0, 200):
-        sq = squeezing_from_frequency(chart, wh)
-        boltz = math.exp(-math.pi * wh)
-        worst = max(worst, abs(math.tanh(sq.r) ** 2 - boltz) / boltz)
-        n = thermal_occupation(chart, wh)
-        worst = max(worst, abs(n / (1.0 + n) - boltz) / boltz)
-        worst = max(worst, abs(n - math.sinh(sq.r) ** 2) / max(n, 1e-300))
-    return worst < 1e-14, f"worst rel {worst:.2e}"
-
-
-def _check_squeezed_state_norms(rng, _):
-    chart = DiamondChart(1.0)
-    worst = 0.0
-    for wh in (0.3, 1.0, 4.0):
-        r = squeezing_from_frequency(chart, wh).r
-        worst = max(worst, abs(math.cosh(r) ** 2 - math.sinh(r) ** 2 - 1.0))
-    trunc = FockTruncation.fixed(40, 0.5)
-    vac = unruh_vacuum_coefficients(0.5, trunc)
-    one = unruh_one_particle_coefficients(0.5, trunc)
-    worst = max(worst, abs((vac ** 2).sum() - 1.0), abs((one ** 2).sum() - 1.0))
-    return worst < 1e-12, f"worst deficit {worst:.2e}"
-
-
-def _check_state_integrity(rng, _):
-    worst_tr = worst_eig = worst_alice = worst_dave = 0.0
-    for r in (0.0, 0.5, 1.0, 2.0):
-        st = build_rho_ad(r)
-        dense = st.to_dense()
-        worst_tr = max(worst_tr, abs(st.trace() - 1.0) - st.trunc.tail_bound)
-        worst_eig = max(worst_eig, -float(np.linalg.eigvalsh(dense).min()))
-        alice = reduce_to_alice(st).weights
-        worst_alice = max(worst_alice, float(np.abs(alice - 0.5).max()) - st.trunc.tail_bound)
-        dave = reduce_to_dave(st).weights
-        dd = st.dave_dim
-        oracle = dense[:dd, :dd].diagonal() + dense[dd:, dd:].diagonal()
-        worst_dave = max(worst_dave, float(np.abs(dave - oracle[: st.n_max]).max()))
-    ok = worst_tr < 1e-10 and worst_eig < 1e-12 and worst_alice < 1e-12 and worst_dave < 1e-12
-    return ok, f"trace {worst_tr:.1e} eig {worst_eig:.1e} alice {worst_alice:.1e} dave {worst_dave:.1e}"
-
-
-def _check_partial_transpose(rng, _):
-    st = build_rho_ad(0.6, FockTruncation.fixed(60, 0.6))
-    pt = partial_transpose(st)
-    dense = st.to_dense()
-    dd = st.dave_dim
-    swapped = dense.copy()
-    swapped[:dd, dd:] = dense[dd:, :dd]
-    swapped[dd:, :dd] = dense[:dd, dd:]
-    diff = float(np.abs(pt.to_dense() - swapped).max())
-    blocks_ok = pt.pt_diag1.shape == (60,)
-    return diff < 1e-15 and blocks_ok, f"entrywise {diff:.2e}"
-
-
-def _check_ppt_oracle(rng, perturb):
-    factor = 1.001 if perturb == "ppt-closed" else 1.0
-    worst = 0.0
-    for r in (0.1, 0.3, 0.6, 1.0, 2.0, 4.0):
-        trunc = FockTruncation.fixed(80, r)
-        spec = ppt_spectrum_closed_form(r, trunc)
-        if not (spec.pairs[:, 1] < 0).all():
-            return False, f"nonnegative lambda- at r={r}"
-        closed = np.sort(np.concatenate([spec.all_values() * factor, [0.0]]))
-        oracle = ppt_spectrum_oracle(partial_transpose(build_rho_ad(r, trunc)))
-        worst = max(worst, float(np.abs(closed - oracle).max()))
-    return worst < 1e-8, f"worst abs {worst:.2e}"
-
-
-def _check_negativity_identities(rng, _):
-    worst = 0.0
-    for r in (0.3, 1.0, 3.0):
-        trunc = FockTruncation.fixed(200, r)
-        tn = float(np.abs(ppt_spectrum_oracle(partial_transpose(build_rho_ad(r, trunc)))).sum())
-        worst = max(worst, abs(log_negativity(r, trunc) - math.log2(tn)))
-        worst = max(worst, abs(log_negativity(r) - math.log2(2.0 * neg_measure(r) + 1.0)))
-    return worst < 1e-8, f"worst {worst:.2e}"
-
-
-def _check_endpoint_limits(rng, _):
-    ok = (
-        log_negativity(0.0) == 1.0
-        and mutual_information(0.0) == 2.0
-        and log_negativity(8.0) < 1e-3
-        and abs(mutual_information(8.0) - 1.0) < 1e-3
-    )
-    return ok, f"N(8) = {log_negativity(8.0):.2e}, I(8)-1 = {mutual_information(8.0)-1.0:.2e}"
-
-
-def _check_monotonicity(rng, _):
-    grid = [0.1 * i for i in range(51)]
-    reports, errors = sweep(r_values=grid)
-    if errors:
-        return False, f"sweep errors {errors}"
-    nl = [rep.neg_log for rep in reports]
-    mi = [rep.mutual_info for rep in reports]
-    ok = all(b < a for a, b in zip(nl, nl[1:])) and all(b < a for a, b in zip(mi, mi[1:]))
-    return ok, "strictly decreasing on [0,5] step 0.1"
-
-
-def _check_figure_endpoints(rng, _):
-    reports, errors = sweep(r_values=figure_grid())
-    if errors:
-        return False, f"sweep errors {errors}"
-    first, last = reports[0], reports[-1]
-    ok = (
-        first.r == 0.0
-        and first.neg_log == 1.0
-        and first.mutual_info == 2.0
-        and last.neg_log < 0.01
-        and 1.0 < last.mutual_info < 1.05
-    )
-    return ok, f"N(5) = {last.neg_log:.3e}, I(5) = {last.mutual_info:.6f}"
-
-
-def _check_recombination(rng, _):
-    worst = 0.0
-    for r in (0.2, 0.9, 2.5):
-        s_a, s_d, s_ad = entropies(r)
-        worst = max(worst, abs(s_a + s_d - s_ad - mutual_information(r)))
-    return worst < 1e-9, f"worst {worst:.2e}"
-
-
-def _check_determinism(rng, _):
-    reports, _ = sweep(r_values=[0.0, 0.5, 1.0])
-    a = "\n".join(_report_row(rep) for rep in reports)
-    reports, _ = sweep(r_values=[0.0, 0.5, 1.0])
-    b = "\n".join(_report_row(rep) for rep in reports)
-    return a == b, "byte-identical rows"
-
-
-_CHECKS = [
-    ("geometry-round-trip", _check_roundtrip),
-    ("geometry-lambda-independence", _check_lambda_independence),
-    ("geometry-boundary-lines", _check_boundary_lines),
-    ("geometry-horizon-worldline", _check_horizon_worldline),
-    ("geometry-tanh-relation", _check_tanh_relation),
-    ("geometry-region-battery", _check_region_battery),
-    ("geometry-metric-pullback", _check_metric),
-    ("kummer-identities", _check_kummer),
-    ("quadrature-closed-forms", _check_quadrature),
-    ("bogoliubov-closed-vs-quadrature", _check_bogoliubov_grid),
-    ("bogoliubov-symmetries", _check_bogoliubov_symmetries),
-    ("bogoliubov-ext-positive-frequency", _check_ext_positive_frequency),
-    ("thermality", _check_thermality),
-    ("squeezed-state-norms", _check_squeezed_state_norms),
-    ("state-integrity", _check_state_integrity),
-    ("partial-transpose-entrywise", _check_partial_transpose),
-    ("ppt-closed-vs-oracle", _check_ppt_oracle),
-    ("negativity-identities", _check_negativity_identities),
-    ("endpoint-limits", _check_endpoint_limits),
-    ("monotonicity", _check_monotonicity),
-    ("figure-endpoints", _check_figure_endpoints),
-    ("entropy-recombination", _check_recombination),
-    ("output-determinism", _check_determinism),
-]
-
-
-def run_selftest(seed: int = 0, perturb: str = None, stream=None) -> int:
-    """Run the embedded invariant suite; returns the number of failures."""
-    stream = stream or sys.stdout
-    perturb = perturb or os.environ.get("DIAMOND_SELFTEST_PERTURB") or None
-    t0 = time.perf_counter()
-    failures = 0
-    for name, check in _CHECKS:
-        rng = np.random.default_rng(seed)
-        try:
-            ok, detail = check(rng, perturb)
-        except Exception as exc:  # noqa: BLE001 - reported as a failing check
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        if not ok:
-            failures += 1
-        stream.write(f"{'PASS' if ok else 'FAIL'} {name} ({detail})\n")
-    elapsed = time.perf_counter() - t0
-    stream.write(
-        f"{len(_CHECKS) - failures}/{len(_CHECKS)} checks passed in {elapsed:.2f}s\n"
-    )
-    return failures
-
-
 def cmd_selftest(args) -> int:
     return 1 if run_selftest(seed=args.seed, perturb=args.perturb) else 0
 
@@ -763,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the embedded invariant suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturb", default=None,
-                   help="debug hook: perturb a closed form (bogoliubov-closed, ppt-closed)")
+    p.add_argument("--perturb", choices=list(PERTURBATIONS), default=None,
+                   help="negative control: scale one closed form by 1.001 so its check fails")
     p.set_defaults(func=cmd_selftest)
 
     return ap

@@ -72,15 +72,6 @@ class SqueezingParameter:
             raise ValueError("r must be nonnegative")
 
 
-@dataclass(frozen=True)
-class BogoliubovPair:
-    alpha_coef: complex
-    beta_coef: complex
-    omega_hat: float
-    k_hat: float
-    region: ModeRegion
-
-
 def squeezing_from_frequency(chart: DiamondChart, omega: float) -> SqueezingParameter:
     """r = atanh(exp(-pi*omega*alpha/2)); decreasing in omega and alpha."""
     if not omega > 0:
@@ -239,22 +230,3 @@ def bogoliubov_quadrature(
 
     return pref * complex(rot * (side(1.0) - side(-1.0)))
 
-
-def bogoliubov_pair(
-    chart: DiamondChart,
-    omega_hat: float,
-    k_hat: float,
-    region: ModeRegion = ModeRegion.INT,
-    method: str = "closed",
-    rel_tol: float = 1e-10,
-) -> BogoliubovPair:
-    """Both coefficients at once, by either route."""
-    if method == "closed":
-        a = bogoliubov_closed_form(chart, omega_hat, k_hat, "alpha", region)
-        b = bogoliubov_closed_form(chart, omega_hat, k_hat, "beta", region)
-    elif method == "quadrature":
-        a = bogoliubov_quadrature(chart, omega_hat, k_hat, "alpha", region, rel_tol)
-        b = bogoliubov_quadrature(chart, omega_hat, k_hat, "beta", region, rel_tol)
-    else:
-        raise ValueError("method must be 'closed' or 'quadrature'")
-    return BogoliubovPair(a, b, omega_hat, k_hat, region)

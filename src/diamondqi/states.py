@@ -41,7 +41,7 @@ def _as_r(r) -> float:
     if isinstance(r, SqueezingParameter):
         return r.r
     r = float(r)
-    if r < 0:
+    if not r >= 0:
         raise ValueError("r must be nonnegative")
     return r
 

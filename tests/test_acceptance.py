@@ -21,13 +21,22 @@ import mpmath
 import numpy as np
 
 import diamondqi as dq
-from diamondqi.cli import run_selftest
-from diamondqi.geometry import _d2r_hat, _r2d_hat, eta_xi_to_rindler
+from diamondqi.invariants import CHECKS, run_selftest
 
 
 def _report(num: int, ok: bool, detail: str):
     print(f"{'PASS' if ok else 'FAIL'} criterion-{num}: {detail}")
     return ok
+
+
+def _entries(*names):
+    """Run invariant registry entries at the selftest's seed: whether all
+    pass, their joined details, and the seconds taken."""
+    t0 = time.perf_counter()
+    results = [CHECKS[name](np.random.default_rng(0), None) for name in names]
+    elapsed = time.perf_counter() - t0
+    detail = "; ".join(f"{name} {d}" for name, (_, d) in zip(names, results))
+    return all(ok for ok, _ in results), detail, elapsed
 
 
 def test_criterion_1_fig3_reproduction():
@@ -61,18 +70,8 @@ def test_criterion_2_fig4_reproduction():
 
 
 def test_criterion_3_ppt_oracle_equivalence():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for r in (0.1, 0.3, 0.6, 1.0, 2.0, 4.0):
-        trunc = dq.FockTruncation.fixed(80, r)
-        closed = np.sort(
-            np.concatenate([dq.ppt_spectrum_closed_form(r, trunc).all_values(), [0.0]])
-        )
-        oracle = dq.ppt_spectrum_oracle(dq.partial_transpose(dq.build_rho_ad(r, trunc)))
-        worst = max(worst, float(np.abs(closed - oracle).max()))
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-8 and elapsed < 30.0
-    assert _report(3, ok, f"max |closed - dense| = {worst:.2e}, {elapsed:.2f}s")
+    ok, detail, elapsed = _entries("ppt-closed-vs-oracle")
+    assert _report(3, ok and elapsed < 30.0, f"{detail}, {elapsed:.2f}s")
 
 
 def test_criterion_4_negative_eigenvalue_existence():
@@ -84,119 +83,26 @@ def test_criterion_4_negative_eigenvalue_existence():
 
 
 def test_criterion_5_bogoliubov_dual_route():
-    chart = dq.DiamondChart(1.0)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for w in (0.5, 1.0, 2.0, 4.0, 8.0):
-        for k in (0.5, 1.0, 2.0, 4.0, 8.0):
-            for kind in ("alpha", "beta"):
-                c = dq.bogoliubov_closed_form(chart, w, k, kind)
-                q = dq.bogoliubov_quadrature(chart, w, k, kind)
-                worst = max(worst, abs(c - q) / abs(c))
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-6 and elapsed < 30.0
-    assert _report(5, ok, f"worst rel deviation {worst:.2e} on 5x5 grid, {elapsed:.2f}s")
+    ok, detail, elapsed = _entries("bogoliubov-closed-vs-quadrature")
+    assert _report(5, ok and elapsed < 30.0, f"{detail} on 5x5 grid, {elapsed:.2f}s")
 
 
 def test_criterion_6_thermality():
-    chart = dq.DiamondChart(1.0)
-    worst_boltz = worst_occ = 0.0
-    for wh in np.linspace(0.1, 20.0, 400):
-        r = dq.squeezing_from_frequency(chart, wh).r
-        boltz = math.exp(-math.pi * wh)
-        worst_boltz = max(worst_boltz, abs(math.tanh(r) ** 2 - boltz) / boltz)
-        n = dq.thermal_occupation(chart, wh)
-        worst_occ = max(worst_occ, abs(n / (1.0 + n) - boltz) / boltz)
-    ok = worst_boltz <= 1e-15 and worst_occ <= 1e-15
-    assert _report(6, ok, f"tanh^2 r vs Boltzmann {worst_boltz:.2e}, occupation ratio {worst_occ:.2e}")
+    ok, detail, _ = _entries("thermality")
+    assert _report(6, ok, f"tanh^2 r, n/(1+n) vs Boltzmann and n vs sinh^2 r: {detail}")
 
 
-def test_criterion_7_geometry_suite(rng):
-    # round trips, 1e4 points per wedge
-    worst_rt = 0.0
-    for wedge in range(4):
-        a = rng.uniform(-3, 3, 10_000)
-        b = np.abs(a) + rng.uniform(0.05, 4.0, 10_000)
-        tth, txh = ((a, b), (a, -b), (b, a), (-b, a))[wedge]
-        fp = (txh + 1.0) ** 2 - tth ** 2
-        th, xh = _r2d_hat(tth, txh)
-        fm = (xh - 1.0) ** 2 - th ** 2
-        keep = (np.abs(fm) > 1e-2) & (np.abs(fp) > 1e-2)
-        bt, bx = _d2r_hat(th[keep], xh[keep])
-        scale = np.maximum(1.0, np.maximum(np.abs(tth[keep]), np.abs(txh[keep])))
-        worst_rt = max(worst_rt, float(np.max(np.hypot(bt - tth[keep], bx - txh[keep]) / scale)))
-
-    # lambda independence
-    charts = [dq.DiamondChart(1.0, lam) for lam in (0.5, 1.0, 2.0, 5.0)]
-    worst_lam = 0.0
-    for _ in range(200):
-        t, x = rng.uniform(-0.9, 0.9, 2)
-        if abs(t) + abs(x) > 0.97:
-            continue
-        arr = np.array([
-            (e.c1, e.c2)
-            for e in (dq.diamond_coords(ch, dq.EventCoords.diamond(t, x)) for ch in charts)
-        ])
-        worst_lam = max(worst_lam, float(np.ptp(arr[:, 0])), float(np.ptp(arr[:, 1])))
-
-    # the interior plus all eight exterior region/wedge correspondences
-    chart = dq.DiamondChart(1.0, 2.0)
-    battery = [
-        ((0.0, 0.0), "D", "R"),
-        ((0.0, 2.0), "DBar", "L"), ((0.0, -2.0), "DBar", "L"),
-        ((2.5, 0.0), "DBar", "L"), ((-2.5, 0.0), "DBar", "L"),
-        ((0.5, -1.2), "DBarBar-F", "F"), ((-0.5, 1.2), "DBarBar-F", "F"),
-        ((0.5, 1.2), "DBarBar-P", "P"), ((-0.5, -1.2), "DBarBar-P", "P"),
-    ]
-    regions_ok = all(
-        (lambda rw: rw[0].value == reg and rw[1].wedge.value == wed)(
-            dq.classify_region(chart, dq.EventCoords.diamond(*pt))
-        )
-        for pt, reg, wed in battery
+def test_criterion_7_geometry_suite():
+    ok, detail, _ = _entries(
+        "geometry-round-trip", "geometry-lambda-independence",
+        "geometry-region-battery", "geometry-metric-pullback",
     )
-
-    # metric pullback
-    def comp(eta, xi):
-        q = dq.rindler_to_diamond(chart, eta_xi_to_rindler(chart, dq.EventCoords.eta_xi(eta, xi, 1)))
-        return np.array([q.c1, q.c2])
-
-    h = 1e-6
-    worst_metric = 0.0
-    for _ in range(20):
-        eta, xi = rng.uniform(-0.5, 0.5, 2)
-        J = np.empty((2, 2))
-        J[:, 0] = (comp(eta + h, xi) - comp(eta - h, xi)) / (2 * h)
-        J[:, 1] = (comp(eta, xi + h) - comp(eta, xi - h)) / (2 * h)
-        G = J.T @ np.diag([-1.0, 1.0]) @ J
-        om = dq.conformal_factor(chart, eta_xi_to_rindler(chart, dq.EventCoords.eta_xi(eta, xi, 1)))
-        pref = (4.0 / om) ** 2 * math.exp(4.0 * xi)
-        worst_metric = max(worst_metric, float(np.max(np.abs(G - pref * np.diag([-1.0, 1.0]))) / pref))
-
-    ok = worst_rt < 1e-12 and worst_lam < 1e-12 and regions_ok and worst_metric < 1e-6
-    assert _report(
-        7, ok,
-        f"round-trip {worst_rt:.1e}, lambda-indep {worst_lam:.1e}, 9-point atlas, metric {worst_metric:.1e}",
-    )
+    assert _report(7, ok, detail)
 
 
 def test_criterion_8_state_integrity():
-    worst_tr = worst_eig = worst_alice = worst_dave = 0.0
-    for r in (0.0, 0.5, 1.0, 2.0):
-        st = dq.build_rho_ad(r)
-        worst_tr = max(worst_tr, abs(st.trace() - 1.0) - st.trunc.tail_bound)
-        dense = st.to_dense()
-        worst_eig = max(worst_eig, -float(np.linalg.eigvalsh(dense).min()))
-        alice = dq.reduce_to_alice(st).weights
-        worst_alice = max(worst_alice, float(np.abs(alice - 0.5).max()) - st.trunc.tail_bound)
-        dave = dq.reduce_to_dave(st).weights
-        dd = st.dave_dim
-        oracle = dense[:dd, :dd].diagonal() + dense[dd:, dd:].diagonal()
-        worst_dave = max(worst_dave, float(np.abs(dave - oracle[: st.n_max]).max()))
-    ok = worst_tr <= 1e-13 and worst_eig <= 1e-12 and worst_alice <= 1e-13 and worst_dave <= 1e-12
-    assert _report(
-        8, ok,
-        f"trace {worst_tr:.1e}, PSD {worst_eig:.1e}, rho_A {worst_alice:.1e}, rho_D oracle {worst_dave:.1e}",
-    )
+    ok, detail, _ = _entries("state-integrity")
+    assert _report(8, ok, detail)
 
 
 def test_criterion_9_entropy_endpoints():

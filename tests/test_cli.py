@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
-import os
 
 import pytest
 
-from diamondqi.cli import main, run_selftest
+from diamondqi.cli import _MAX_GRID_POINTS, _grid, main
+from diamondqi.invariants import run_selftest
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +193,23 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["map", "--alpha", "1", "--from", "diamond", "--to", "rindler", "--point", "nan,0"],
+    ["entanglement", "--r-grid", "0:inf:1"],
+    ["selftest", "--perturb", "typo"],
+])
+def test_bad_values_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+def test_grid_size_cap():
+    assert len(_grid(f"0:{_MAX_GRID_POINTS - 1}:1")) == _MAX_GRID_POINTS
+    with pytest.raises(argparse.ArgumentTypeError):
+        _grid(f"0:{_MAX_GRID_POINTS}:1")
+
+
 def test_selftest_negative_control(capsys):
     failures = run_selftest(perturb="bogoliubov-closed")
     out = capsys.readouterr().out
@@ -201,8 +219,5 @@ def test_selftest_negative_control(capsys):
     out = capsys.readouterr().out
     assert failures == 1
     assert "FAIL ppt-closed-vs-oracle" in out
-
-
-def test_selftest_env_hook(capsys, monkeypatch):
-    monkeypatch.setenv("DIAMOND_SELFTEST_PERTURB", "ppt-closed")
-    assert main(["selftest"]) == 1
+    with pytest.raises(ValueError):
+        run_selftest(perturb="typo")

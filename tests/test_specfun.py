@@ -15,6 +15,7 @@ from diamondqi.specfun import (
     oscillatory_integral,
     oscillatory_integral_with_error,
 )
+from test_invariants import lookup
 
 
 def kummer_oracle(a, b, z, dps=50):
@@ -30,14 +31,8 @@ def kummer_oracle(a, b, z, dps=50):
         return complex(s)
 
 
-def test_kummer_at_zero_is_one():
-    assert kummer_m(KummerParams(1 - 0.7j, 2.0, 0.0)) == 1.0 + 0.0j
-
-
-def test_kummer_classical_identity():
-    z = 2j
-    got = kummer_m(KummerParams(1.0, 2.0, z))
-    assert abs(got - (np.exp(z) - 1.0) / z) < 1e-15
+test_kummer_at_zero_is_one = lookup("kummer-identities")
+test_kummer_classical_identity = lookup("kummer-identities")
 
 
 def test_kummer_against_high_precision_oracle():
@@ -160,19 +155,8 @@ def test_kummer_conjugation_symmetry(rng):
 # quadrature
 # ---------------------------------------------------------------------------
 
-def test_quadrature_plane_wave_closed_form():
-    k = 3.0
-    got = oscillatory_integral(
-        lambda u: np.exp(1j * k * u), QuadratureSpec(0.0, 1.0, rel_tol=1e-12, oscillation_hint=k)
-    )
-    assert abs(got - (np.exp(1j * k) - 1.0) / (1j * k)) < 1e-12
-
-
-def test_quadrature_zero_integrand():
-    got = oscillatory_integral(
-        lambda u: np.zeros_like(u, dtype=complex), QuadratureSpec(-1.0, 1.0)
-    )
-    assert got == 0
+test_quadrature_plane_wave_closed_form = lookup("quadrature-closed-forms")
+test_quadrature_zero_integrand = lookup("quadrature-closed-forms")
 
 
 def test_quadrature_matches_bogoliubov_bracket():

@@ -6,6 +6,7 @@ import pytest
 
 import diamondqi as dq
 from diamondqi.states import Representation, Subsystem, _geometric_weights, _ln_tanh2
+from test_invariants import lookup
 
 
 def dense_partial_traces(state):
@@ -49,6 +50,12 @@ def test_truncations_raise_domain_cap_past_the_series_cap():
 def test_fixed_truncation_never_raises():
     st = dq.build_rho_ad(4.0, dq.FockTruncation.fixed(80, 4.0))
     assert st.n_max == 80
+
+
+def test_nan_r_is_rejected():
+    for call in (dq.FockTruncation.auto, dq.build_rho_ad, dq.report_for):
+        with pytest.raises(ValueError, match="r must be nonnegative"):
+            call(float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +190,7 @@ def test_reductions_require_rho_ad_representation():
 # partial transpose
 # ---------------------------------------------------------------------------
 
-def test_partial_transpose_entrywise_matches_index_swap():
-    st = dq.build_rho_ad(0.6, dq.FockTruncation.fixed(60, 0.6))
-    pt = dq.partial_transpose(st)
-    dense = st.to_dense()
-    dd = st.dave_dim
-    swapped = dense.copy()
-    swapped[:dd, dd:] = dense[dd:, :dd]
-    swapped[dd:, :dd] = dense[:dd, dd:]
-    assert np.abs(pt.to_dense() - swapped).max() < 1e-15
+test_partial_transpose_entrywise_matches_index_swap = lookup("partial-transpose-entrywise")
 
 
 def test_partial_transpose_block_count_and_trace():
