@@ -14,16 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .entanglement import (
-    EntanglementReport,
-    figure_grid,
-    log_negativity,
-    mutual_information,
-    negativity as neg_measure,
-    entropies,
-    r_from_lifetime,
-    sweep,
-)
+from .entanglement import EntanglementReport, figure_grid, sweep
 from .errors import DiamondError
 from .geometry import DiamondChart, EventCoords, Frame, classify_region, conformal_factor, convert
 from .invariants import PERTURBATIONS, run_selftest
@@ -230,46 +221,11 @@ def _report_row(rep: EntanglementReport) -> str:
     )
 
 
-def _fixed_nmax_report(r: float, n_max: int, tol: float) -> EntanglementReport:
-    trunc = FockTruncation.fixed(n_max, r, tol)
-    s_a, s_d, s_ad = entropies(r, trunc)
-    return EntanglementReport(
-        r=r,
-        neg_log=log_negativity(r, trunc),
-        negativity=neg_measure(r, trunc),
-        s_a=s_a,
-        s_d=s_d,
-        s_ad=s_ad,
-        mutual_info=mutual_information(r, trunc),
-        n_max_used=n_max,
-        tail_bound=trunc.tail_bound,
-    )
-
-
 def cmd_entanglement(args) -> int:
-    if (args.r_grid is None) == (args.lifetime_grid is None):
-        raise DiamondError("provide exactly one of --r-grid or --lifetime-grid")
-    if args.r_grid is not None:
-        r_values = args.r_grid
-    else:
-        if args.omega is None:
-            raise DiamondError("--lifetime-grid requires --omega")
-        scale = 1.0 if args.alpha_mode == "lifetime" else 2.0
-        r_values = [r_from_lifetime(scale * g, args.omega) for g in args.lifetime_grid]
-
-    errors = {}
-    if args.nmax == "auto":
-        reports, errors = sweep(r_values=r_values)
-    else:
-        n_max = int(args.nmax)
-        reports = []
-        for idx, r in enumerate(r_values):
-            try:
-                reports.append(_fixed_nmax_report(r, n_max, args.tol))
-            except Exception as exc:  # noqa: BLE001 - collected per point
-                reports.append(None)
-                errors[idx] = f"{type(exc).__name__}: {exc}"
-
+    scale = 1.0 if args.alpha_mode == "lifetime" else 2.0
+    lifetimes = None if args.lifetime_grid is None else [scale * g for g in args.lifetime_grid]
+    n_max = None if args.nmax == "auto" else int(args.nmax)
+    reports, errors = sweep(args.r_grid, lifetimes, args.omega, n_max=n_max, tol=args.tol)
     good = [rep for rep in reports if rep is not None]
     if args.format == "csv":
         body = "\n".join([_CSV_HEADER] + [_report_row(rep) for rep in good]) + "\n"
@@ -311,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("map", help="convert a point between coordinate frames")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=2.0)
+    p.add_argument("--alpha", type=_finite, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite, default=2.0)
     p.add_argument("--from", choices=sorted(_FRAMES), required=True)
     p.add_argument("--to", choices=sorted(_FRAMES), required=True)
     p.add_argument("--point", type=_point, required=True, metavar="T,X")
@@ -320,30 +276,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("modes", help="evaluate a field mode at a point")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite, required=True)
     p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
     p.add_argument("--sigma", choices=("plus", "minus"), default="plus")
-    p.add_argument("--omega", type=float, required=True, help="raw frequency (k for minkowski)")
+    p.add_argument("--omega", type=_finite, required=True, help="raw frequency (k for minkowski)")
     p.add_argument("--point", type=_point, required=True, metavar="T,X")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("bogoliubov", help="Bogoliubov coefficients, closed form and/or quadrature")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--omega-hat", type=float, required=True)
-    p.add_argument("--k-hat", type=float, required=True)
+    p.add_argument("--alpha", type=_finite, default=1.0)
+    p.add_argument("--omega-hat", type=_finite, required=True)
+    p.add_argument("--k-hat", type=_finite, required=True)
     p.add_argument("--kind", choices=("alpha", "beta"), required=True)
     p.add_argument("--region", choices=("int", "ext"), default="int")
     p.add_argument("--method", choices=("closed", "quadrature", "both"), default="both")
-    p.add_argument("--rel-tol", type=float, default=1e-10)
+    p.add_argument("--rel-tol", type=_finite, default=1e-10)
     p.set_defaults(func=cmd_bogoliubov)
 
     p = sub.add_parser("state", help="dump the Alice-Dave reduced state")
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--omega-hat", type=float, default=None)
+    p.add_argument("--r", type=_finite, default=None)
+    p.add_argument("--alpha", type=_finite, default=1.0)
+    p.add_argument("--omega-hat", type=_finite, default=None)
     p.add_argument("--nmax", default="auto")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite, default=1e-10)
     p.add_argument("--dump", choices=("blocks", "dense"), default="blocks")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_state)
@@ -351,11 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entanglement", help="entanglement measures over a grid")
     p.add_argument("--r-grid", type=_grid, default=None, metavar="LO:HI:STEP")
     p.add_argument("--lifetime-grid", type=_grid, default=None, metavar="LO:HI:STEP")
-    p.add_argument("--omega", type=float, default=None)
+    p.add_argument("--omega", type=_finite, default=None)
     p.add_argument("--alpha-mode", choices=("lifetime", "half-lifetime"), default="lifetime",
                    help="interpret lifetime-grid values as full lifetimes or as alpha")
     p.add_argument("--nmax", default="auto")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite, default=1e-10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_entanglement)

@@ -15,7 +15,8 @@ values stand in, to within r):
 
 Every call costs at most K + 1 + 64 summands, and the measures match a
 30-digit mpmath sum to ~3e-15 relative on r in [0.1, 12].  The measures
-of an explicit Fock truncation are the same sums over the retained blocks.
+of an explicit Fock truncation are the same sums over the retained Dave
+levels 0..n_max, with N and log N from its partial-transpose spectrum.
 
 A useful exact rearrangement: the block traces of the partial transpose
 telescope to 1, so the trace norm is 1 + D with
@@ -32,14 +33,17 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .modes import _squeezing_r
 from .states import (
     BipartiteState,
     FockTruncation,
     Representation,
     _as_r,
     _check_r_cap,
-    _geometric_weights,
     _ln_tanh2,
+    _trace_tail,
+    build_rho_ad,
+    partial_transpose,
 )
 
 _LN2 = math.log(2.0)
@@ -58,6 +62,8 @@ _TAIL_EDGES = np.array([0.0, 2.0, 8.0, 26.0, 48.0])
 _TAIL_NODES = 16
 # phi'''(_HEAD)/720 from a 5-point backward stencil on t = _HEAD - 4.._HEAD
 _D3 = np.array([3.0, -14.0, 24.0, -18.0, 5.0]) / 1440.0
+# the report fields that a truncation moves away from the full series
+_MEASURES = ("neg_log", "negativity", "s_d", "s_ad", "mutual_info")
 
 
 def _tail_table():
@@ -85,14 +91,16 @@ _TAIL_X, _TAIL_W = _tail_table()
 
 @dataclass(frozen=True)
 class PptSpectrum:
-    """Ground eigenvalue and the (lambda+, lambda-) pairs of the PT blocks."""
+    """The eigenvalues of the 1x1 PT blocks |0,0> and |1,n_max>, and the
+    (lambda+, lambda-) pairs of the 2x2 ones."""
 
     lambda0: float
     pairs: np.ndarray  # shape (n_max, 2)
+    lambda_top: float
     r: float
 
     def all_values(self) -> np.ndarray:
-        return np.concatenate(([self.lambda0], self.pairs.ravel()))
+        return np.concatenate(([self.lambda0], self.pairs.ravel(), [self.lambda_top]))
 
     def trace_norm(self) -> float:
         return float(np.abs(self.all_values()).sum())
@@ -115,33 +123,20 @@ class EntanglementReport:
 # closed-form PT spectrum and its dense oracle
 # ---------------------------------------------------------------------------
 
-def _pt_block_entries(r: float, n_max: int):
-    """(a_n, g_n, c_n) of the 2x2 PT blocks on {|1,n>, |0,n+1>}, n = 0..n_max-1."""
-    w = _geometric_weights(r, n_max)
-    n = np.arange(n_max, dtype=float)
-    gam = np.sqrt(n + 1.0) / math.cosh(r)
-    a = np.concatenate(([0.0], w[:-1] * gam[:-1] ** 2))
-    c = w * math.tanh(r) ** 2
-    g = w * gam
-    return w, a, g, c
-
-
 def ppt_spectrum_closed_form(r, trunc: Optional[FockTruncation] = None) -> PptSpectrum:
-    """Eigenvalues of the partial transpose, in pairs per 2x2 block.
+    """Eigenvalues of the partial transpose: lambda0, lambda_top, and a pair
+    per 2x2 block of states.partial_transpose.
 
-    Equivalent to lambda_+/-^(n) = tanh^{2n} r/(4 cosh^2 r) *
-    (n/sinh^2 r + tanh^2 r +/- sqrt(Z_n)), evaluated in a form that stays
-    finite through r -> 0.
+    Below the last block the pairs equal lambda_+/-^(n) = tanh^{2n} r /
+    (4 cosh^2 r) * (n/sinh^2 r + tanh^2 r +/- sqrt(Z_n)), evaluated in a form
+    that stays finite through r -> 0; the last block has no |0,n_max> entry.
     """
-    r = _as_r(r)
-    if trunc is None:
-        trunc = FockTruncation.auto(r)
-    trunc.check()
-    w, a, g, c = _pt_block_entries(r, trunc.n_max)
+    pt = partial_transpose(build_rho_ad(r, trunc))
+    a, c, g = pt.pt_diag1, pt.pt_diag2, pt.pt_coh
     mean = 0.5 * (a + c)
     disc = np.sqrt((0.5 * (a - c)) ** 2 + g ** 2)
     pairs = np.stack([mean + disc, mean - disc], axis=1)
-    return PptSpectrum(float(w[0]), pairs, r)
+    return PptSpectrum(pt.lambda0, pairs, pt.lambda_top, pt.r)
 
 
 def ppt_spectrum_oracle(state: BipartiteState) -> np.ndarray:
@@ -187,8 +182,8 @@ def _summands(t: np.ndarray, lnq: float, c2: float, s2: float) -> np.ndarray:
 
 def _series(r: float, n_max: Optional[int] = None) -> dict:
     """All measures from the summands: over t < n_max when n_max is given
-    (a Fock truncation, no tail, and I = 1 + S_D - S_AD of those sums),
-    else the full series.
+    (a Fock truncation: no tail, S_D adds Dave's level n_max, and
+    I = 1 + S_D - S_AD of those sums), else the full series.
 
     The full series is summed directly up to a geometric tail below
     _SERIES_TOL, and tail_bound is that tail plus the rounding of the sum,
@@ -232,9 +227,12 @@ def _series(r: float, n_max: Optional[int] = None) -> dict:
         n, tail, nodes = 0, float(np.abs(head[:, -5:] @ _D3).max()), t.size
     else:
         sums = terms.sum(axis=1)
-        tail, nodes = math.exp(n * lnq) * (1.0 + n / (2.0 * c2)), n
+        tail, nodes = _trace_tail(r, n), n
     d_sum, s_ad, s_d, m_sum = (float(x) for x in sums)
     if n_max is not None:
+        # only |1, n_max> reaches Dave's level n_max: p = w_{n_max} n_max/s2
+        lp = n_max * lnq - math.log(2.0 * c2) + math.log(n_max / s2)
+        s_d -= math.exp(lp) * lp / _LN2
         mutual_info = 1.0 + s_d - s_ad
     else:
         a0 = 0.5 * (2.0 - q) * (1.0 - q)
@@ -259,87 +257,74 @@ def _measures_full(r: float) -> dict:
     return _series(_check_r_cap(_as_r(r)))
 
 
-def _measures(r: float, trunc: Optional[FockTruncation]) -> dict:
-    """The full series, or its head over the blocks a truncation keeps."""
+def _measures(r, trunc: Optional[FockTruncation]) -> dict:
+    """Every measure at r: of the full series, or of the state a Fock
+    truncation keeps.
+
+    A truncated state's S_D, S_AD and I are the series over its blocks, and
+    N and log N come from its PT spectrum.  Its tail_bound is their largest
+    distance from the full series plus the full series' own tail_bound, so
+    it bounds the distance from the true values as a full report's does.
+    """
     if trunc is None:
         return _measures_full(r)
     trunc.check()
-    return _series(_check_r_cap(r), trunc.n_max)
+    full = _measures_full(r)
+    r = _as_r(r)
+    m = _series(r, trunc.n_max)
+    norm = ppt_spectrum_closed_form(r, trunc).trace_norm()
+    m.update(neg_log=math.log2(norm), negativity=0.5 * (norm - 1.0), n_max_used=trunc.n_max)
+    m["tail_bound"] = full["tail_bound"] + max(abs(m[k] - full[k]) for k in _MEASURES)
+    return m
 
 
 # ---------------------------------------------------------------------------
-# public measures
+# public measures; with an explicit truncation, those of the truncated state
 # ---------------------------------------------------------------------------
 
 def log_negativity(r, trunc: Optional[FockTruncation] = None) -> float:
-    """log2 of the PT trace norm; 1 at r = 0, monotonically to 0 as r grows.
-
-    With an explicit truncation the value is computed from exactly the
-    truncated block spectrum (so it matches the dense oracle); otherwise the
-    full series is used.
-    """
-    r = _as_r(r)
-    if r == 0.0:
-        return 1.0
-    if trunc is not None:
-        return math.log2(ppt_spectrum_closed_form(r, trunc).trace_norm())
-    return _measures_full(r)["neg_log"]
+    """log2 of the PT trace norm; 1 at r = 0, monotonically to 0 as r grows."""
+    return _measures(r, trunc)["neg_log"]
 
 
 def negativity(r, trunc: Optional[FockTruncation] = None) -> float:
     """Ordinary negativity N = (||rho^T||_1 - 1)/2; log-neg = log2(2N + 1)."""
-    r = _as_r(r)
-    if r == 0.0:
-        return 0.5
-    if trunc is not None:
-        return 0.5 * (ppt_spectrum_closed_form(r, trunc).trace_norm() - 1.0)
-    return _measures_full(r)["negativity"]
+    return _measures(r, trunc)["negativity"]
 
 
 def entropies(r, trunc: Optional[FockTruncation] = None) -> Tuple[float, float, float]:
     """Base-2 von Neumann entropies (S_A, S_D, S_AD); S_A = 1 exactly."""
-    r = _as_r(r)
     m = _measures(r, trunc)
     return 1.0, m["s_d"], m["s_ad"]
 
 
 def mutual_information(r, trunc: Optional[FockTruncation] = None) -> float:
     """I = S_A + S_D - S_AD via the explicit series; in [1, 2], 2 at r = 0."""
-    r = _as_r(r)
     return _measures(r, trunc)["mutual_info"]
 
 
-def report_for(r) -> EntanglementReport:
-    """Full-series EntanglementReport at a single r."""
+def report_for(r, trunc: Optional[FockTruncation] = None) -> EntanglementReport:
+    """Every measure at a single r, of the full series or of a truncation."""
     r = _as_r(r)
-    m = _measures_full(r)
-    return EntanglementReport(
-        r=r,
-        neg_log=m["neg_log"],
-        negativity=m["negativity"],
-        s_a=1.0,
-        s_d=m["s_d"],
-        s_ad=m["s_ad"],
-        mutual_info=m["mutual_info"],
-        n_max_used=m["n_max_used"],
-        tail_bound=m["tail_bound"],
-    )
+    return EntanglementReport(r=r, s_a=1.0, **_measures(r, trunc))
 
 
 def r_from_lifetime(lifetime: float, omega: float) -> float:
     """Squeezing parameter of a diamond observer with the given lifetime."""
     if not (lifetime > 0 and omega > 0):
         raise ValueError("lifetime and omega must be positive (zero lifetime gives r = infinity)")
-    omega_hat = omega * lifetime / 2.0
-    return math.atanh(math.exp(-math.pi * omega_hat / 2.0))
+    return _squeezing_r(omega * lifetime / 2.0)
 
 
 def sweep(
     r_values=None,
     lifetimes=None,
     omega: Optional[float] = None,
+    n_max: Optional[int] = None,
+    tol: Optional[float] = None,
 ) -> Tuple[List[Optional[EntanglementReport]], Dict[int, str]]:
-    """Reports over a grid of r (or lifetimes at fixed omega).
+    """Reports over a grid of r (or lifetimes at fixed omega): of the full
+    series, or, given n_max, of FockTruncation.fixed(n_max, r, tol) at each r.
 
     Per-point failures are collected in the error dict (index -> message)
     instead of aborting the sweep; failed slots hold None.  Result order
@@ -360,7 +345,8 @@ def sweep(
     errors: Dict[int, str] = {}
     for idx, r in enumerate(grid):
         try:
-            reports.append(report_for(r))
+            trunc = None if n_max is None else FockTruncation.fixed(n_max, r, tol)
+            reports.append(report_for(r, trunc))
         except Exception as exc:  # noqa: BLE001 - per-point failures are data
             reports.append(None)
             errors[idx] = f"{type(exc).__name__}: {exc}"

@@ -64,10 +64,10 @@ class DiamondChart:
     lam: float = 2.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError("alpha must be positive and finite")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ValueError("lam must be positive and finite")
 
     @property
     def alpha_tilde(self) -> float:

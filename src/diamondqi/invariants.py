@@ -322,21 +322,25 @@ def _check_state_integrity(rng, _):
         dave = reduce_to_dave(st).weights
         dd = st.dave_dim
         oracle = dense[:dd, :dd].diagonal() + dense[dd:, dd:].diagonal()
-        worst_dave = _worst(worst_dave, float(np.abs(dave - oracle[: st.n_max]).max()))
+        worst_dave = _worst(worst_dave, float(np.abs(dave - oracle).max()))
     ok = worst_tr <= 1e-13 and worst_eig <= 1e-12 and worst_alice <= 1e-13 and worst_dave <= 1e-12
     return ok, f"trace {worst_tr:.1e} eig {worst_eig:.1e} alice {worst_alice:.1e} dave {worst_dave:.1e}"
 
 
 def _check_partial_transpose(rng, _):
-    st = build_rho_ad(0.6, FockTruncation.fixed(60, 0.6))
-    pt = partial_transpose(st)
-    dense = st.to_dense()
-    dd = st.dave_dim
-    swapped = dense.copy()
-    swapped[:dd, dd:] = dense[dd:, :dd]
-    swapped[dd:, :dd] = dense[:dd, dd:]
-    diff = float(np.abs(pt.to_dense() - swapped).max())
-    blocks_ok = pt.pt_diag1.shape == (60,)
+    # at (0.6, 60) the last retained level carries ~1e-32; at (1.0, 10) and
+    # (0, 1) it carries 6.6e-3 and 0.5
+    diff, blocks_ok = 0.0, True
+    for r, n_max in ((0.6, 60), (1.0, 10), (0.0, 1)):
+        st = build_rho_ad(r, FockTruncation.fixed(n_max, r))
+        pt = partial_transpose(st)
+        dense = st.to_dense()
+        dd = st.dave_dim
+        swapped = dense.copy()
+        swapped[:dd, dd:] = dense[dd:, :dd]
+        swapped[dd:, :dd] = dense[:dd, dd:]
+        diff = _worst(diff, float(np.abs(pt.to_dense() - swapped).max()))
+        blocks_ok = blocks_ok and pt.pt_diag1.shape == (n_max,)
     return diff < 1e-15 and blocks_ok, f"entrywise {diff:.2e}"
 
 
@@ -348,7 +352,7 @@ def _check_ppt_oracle(rng, perturb):
         spec = ppt_spectrum_closed_form(r, trunc)
         if not (spec.pairs[:, 1] < 0).all():
             return False, f"nonnegative lambda- at r={r}"
-        closed = np.sort(np.concatenate([spec.all_values() * factor, [0.0]]))
+        closed = np.sort(spec.all_values() * factor)
         oracle = ppt_spectrum_oracle(partial_transpose(build_rho_ad(r, trunc)))
         worst = _worst(worst, float(np.abs(closed - oracle).max()))
     return worst < 1e-8, f"worst abs {worst:.2e}"

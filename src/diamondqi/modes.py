@@ -72,12 +72,22 @@ class SqueezingParameter:
             raise ValueError("r must be nonnegative")
 
 
+def _squeezing_r(omega_hat: float) -> float:
+    """r = atanh(e^{-x}), x = pi*omega_hat/2, as (1/2) log1p(2 e^{-x}/(-expm1(-x))).
+
+    atanh of the rounded e^{-x} loses ~eps/x relative as x -> 0; this form
+    has no cancellation at any x.
+    """
+    x = math.pi * omega_hat / 2.0
+    return 0.5 * math.log1p(2.0 * math.exp(-x) / -math.expm1(-x))
+
+
 def squeezing_from_frequency(chart: DiamondChart, omega: float) -> SqueezingParameter:
     """r = atanh(exp(-pi*omega*alpha/2)); decreasing in omega and alpha."""
     if not omega > 0:
         raise ValueError("omega must be positive")
     omega_hat = omega * chart.alpha
-    return SqueezingParameter(math.atanh(math.exp(-math.pi * omega_hat / 2.0)), omega_hat)
+    return SqueezingParameter(_squeezing_r(omega_hat), omega_hat)
 
 
 def thermal_occupation(chart: DiamondChart, omega: float) -> float:

@@ -10,6 +10,7 @@ double precision; pinning the working precision keeps a caller's global
 ``mp.dps`` from changing it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,10 @@ class QuadratureSpec:
     oscillation_hint: float = 1.0
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("require lo < hi")
-        if self.rel_tol <= 0:
-            raise ValueError("require rel_tol > 0")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError("require finite lo < hi")
+        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+            raise ValueError("require finite rel_tol > 0")
 
 
 def oscillatory_integral_with_error(f, spec: QuadratureSpec):

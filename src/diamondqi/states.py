@@ -121,9 +121,10 @@ class BipartiteState:
 
     rho_AD blocks (n = 0..n_max-1) act on {|0,n>, |1,n+1>} as
     weights[n] * [[1, g], [g, g^2]] with g = gammas[n] = sqrt(n+1)/cosh r.
-    The partial transpose carries the standalone |0,0> weight lambda0 and
-    2x2 blocks on {|1,n>, |0,n+1>} with diagonal (pt_diag1[n], pt_diag2[n])
-    and coherence pt_coh[n].
+    The partial transpose carries the standalone |0,0> weight lambda0, the
+    standalone |1,n_max> weight lambda_top, and 2x2 blocks on
+    {|1,n>, |0,n+1>} with diagonal (pt_diag1[n], pt_diag2[n]) and coherence
+    pt_coh[n].
     """
 
     r: float
@@ -132,6 +133,7 @@ class BipartiteState:
     weights: np.ndarray
     gammas: np.ndarray
     lambda0: Optional[float] = None
+    lambda_top: Optional[float] = None
     pt_diag1: Optional[np.ndarray] = None
     pt_diag2: Optional[np.ndarray] = None
     pt_coh: Optional[np.ndarray] = None
@@ -157,6 +159,7 @@ class BipartiteState:
             m[j, j] += self.weights * self.gammas ** 2
         else:
             m[0, 0] = self.lambda0
+            m[-1, -1] = self.lambda_top  # (1, n_max)
             i = dd + n       # (1, n)
             j = n + 1        # (0, n+1)
             m[i, i] += self.pt_diag1
@@ -167,7 +170,7 @@ class BipartiteState:
     def trace(self) -> float:
         if self.representation is Representation.RHO_AD:
             return float((self.weights * (1.0 + self.gammas ** 2)).sum())
-        return float(self.lambda0 + self.pt_diag1.sum() + self.pt_diag2.sum())
+        return float(self.lambda0 + self.lambda_top + self.pt_diag1.sum() + self.pt_diag2.sum())
 
 
 def _geometric_weights(r: float, n_max: int) -> np.ndarray:
@@ -222,32 +225,36 @@ def partial_transpose(state: BipartiteState) -> BipartiteState:
     """Exchange Alice indices; blocks regroup onto {|1,n>, |0,n+1>}.
 
     The |1,n> diagonal w_{n-1} gamma_{n-1}^2 equals the textbook n/sinh^2 r
-    form but stays finite through r -> 0 and matches the index-swapped dense
-    matrix bit for bit.
+    form but stays finite through r -> 0.  |0,n_max> lies outside the
+    retained blocks, so the last block's |0,n+1> diagonal is 0, and
+    |1,n_max> stands alone as lambda_top.  Every entry matches the
+    index-swapped dense matrix to rounding.
     """
     if state.representation is not Representation.RHO_AD:
         raise ValueError("partial_transpose expects the rho_AD representation")
     q = math.tanh(state.r) ** 2
-    diag1 = np.concatenate(([0.0], state.weights[:-1] * state.gammas[:-1] ** 2))
-    diag2 = state.weights * q
+    lifted = state.weights * state.gammas ** 2
+    diag1 = np.concatenate(([0.0], lifted[:-1]))
+    diag2 = np.concatenate((state.weights[:-1] * q, [0.0]))
     coh = state.weights * state.gammas
     return BipartiteState(
         state.r, state.trunc, Representation.RHO_AD_PT, state.weights, state.gammas,
-        lambda0=float(state.weights[0]), pt_diag1=diag1, pt_diag2=diag2, pt_coh=coh,
+        lambda0=float(state.weights[0]), lambda_top=float(lifted[-1]),
+        pt_diag1=diag1, pt_diag2=diag2, pt_coh=coh,
     )
 
 
 def reduce_to_dave(state: BipartiteState) -> SingleSystemState:
-    """Trace out Alice: weights w_n (1 + n/sinh^2 r) for n = 0..n_max-1.
+    """Trace out Alice: weights w_n (1 + n/sinh^2 r) for n = 0..n_max-1, and
+    w_{n_max-1} gamma_{n_max-1}^2 on level n_max, which only |1,n_max> reaches.
 
     Evaluated as w_n + w_{n-1} gamma_{n-1}^2, exact through r -> 0, and
-    identical to the numerical partial trace of the assembled blocks on the
-    retained indices.
+    identical to the numerical partial trace of the assembled blocks.
     """
     if state.representation is not Representation.RHO_AD:
         raise ValueError("reduce_to_dave expects the rho_AD representation")
-    lifted = np.concatenate(([0.0], state.weights[:-1] * state.gammas[:-1] ** 2))
-    return SingleSystemState(Subsystem.DAVE, state.weights + lifted)
+    lifted = state.weights * state.gammas ** 2
+    return SingleSystemState(Subsystem.DAVE, np.append(state.weights, 0.0) + np.insert(lifted, 0, 0.0))
 
 
 def reduce_to_alice(state: BipartiteState) -> SingleSystemState:

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from diamondqi.cli import _MAX_GRID_POINTS, _grid, main
+from diamondqi.cli import _MAX_GRID_POINTS, _grid, _report_row, main
+from diamondqi.entanglement import report_for
 from diamondqi.invariants import run_selftest
+from diamondqi.states import FockTruncation
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +162,16 @@ def test_entanglement_fixed_nmax_honours_tol(capsys):
     assert code == 0
 
 
+def test_entanglement_fixed_nmax_rows_are_truncated_reports(capsys):
+    code, out, _ = run_cli(capsys, "entanglement", "--r-grid", "0:2:0.25", "--nmax", "40", "--tol", "1")
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 9
+    for i, row in enumerate(rows):
+        r = 0.25 * i
+        assert row == _report_row(report_for(r, FockTruncation.fixed(40, r, 1.0)))
+
+
 def test_entanglement_usage_error(capsys):
     code, _, err = run_cli(capsys, "entanglement", "--r-grid", "0:1:0.5",
                            "--lifetime-grid", "1:2:1")
@@ -197,6 +209,12 @@ def test_usage_error_exit_code():
     ["map", "--alpha", "1", "--from", "diamond", "--to", "rindler", "--point", "nan,0"],
     ["entanglement", "--r-grid", "0:inf:1"],
     ["selftest", "--perturb", "typo"],
+    # each of these exited 0 or failed with a raw exception before
+    ["entanglement", "--r-grid", "0:1:0.5", "--nmax", "20", "--tol", "nan"],
+    ["state", "--r", "0.5", "--tol", "nan"],
+    ["map", "--alpha", "inf", "--from", "diamond", "--to", "rindler", "--point", "0,0"],
+    ["bogoliubov", "--omega-hat", "1", "--k-hat", "1", "--kind", "alpha", "--method", "quadrature",
+     "--rel-tol", "inf"],
 ])
 def test_bad_values_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:

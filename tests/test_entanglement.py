@@ -15,13 +15,16 @@ R_SWITCH = 1.93369
 
 
 def textbook_form_pairs(r, n_max):
-    """Literal textbook eigenvalue pairs, valid away from r = 0."""
+    """Literal textbook eigenvalue pairs, valid away from r = 0.  The last
+    block of a truncation has no |0, n_max> entry, so it loses the q in T."""
     q = math.tanh(r) ** 2
     c2 = math.cosh(r) ** 2
     s2 = math.sinh(r) ** 2
     n = np.arange(n_max, dtype=float)
     T = n / s2 + q
     Z = T * T + 4.0 / c2
+    T[-1] = n[-1] / s2
+    Z[-1] = T[-1] ** 2 + 4.0 * n_max / c2
     base = np.exp(n * math.log(q)) / (4.0 * c2)
     return np.stack([base * (T + np.sqrt(Z)), base * (T - np.sqrt(Z))], axis=1)
 
@@ -293,6 +296,49 @@ def test_series_cost_is_bounded_by_the_head():
     grid = np.concatenate((np.logspace(-80, 0, 161), np.linspace(1.0, 320.0, 3191)))
     for r in grid:
         assert dq.report_for(r).n_max_used <= _HEAD
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-8, 0.5, 2.0])
+def test_truncated_report_matches_the_scalar_measures(r):
+    for trunc in (dq.FockTruncation.auto(r), dq.FockTruncation.fixed(40, r)):
+        rep = dq.report_for(r, trunc)
+        assert rep.n_max_used == trunc.n_max
+        assert (rep.s_a, rep.s_d, rep.s_ad) == dq.entropies(r, trunc)
+        assert rep.mutual_info == dq.mutual_information(r, trunc)
+        assert rep.neg_log == dq.log_negativity(r, trunc)
+        assert rep.negativity == dq.negativity(r, trunc)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 40])
+def test_truncated_measures_at_zero_keep_level_n_max(n_max):
+    # without the |1, n_max> entry, one block read log N = 0.585
+    rep = dq.report_for(0.0, dq.FockTruncation.fixed(n_max, 0.0))
+    assert (rep.neg_log, rep.negativity, rep.s_d, rep.s_ad, rep.mutual_info) == (1.0, 0.5, 1.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("r,n_max", [(0.3, 2), (1.0, 10), (2.0, 60)])
+def test_truncated_entropies_match_the_dense_state(r, n_max):
+    # Dave's level n_max holds |1, n_max> alone: 0.048 bits of S_D at (1.0, 10)
+    trunc = dq.FockTruncation.fixed(n_max, r)
+    dense = dq.build_rho_ad(r, trunc).to_dense()
+    dd = n_max + 1
+    dave = dense[:dd, :dd].diagonal() + dense[dd:, dd:].diagonal()
+    evs = np.linalg.eigvalsh(dense)
+    evs = evs[evs > 1e-300]
+    _, s_d, s_ad = dq.entropies(r, trunc)
+    assert abs(s_d + (dave * np.log2(dave)).sum()) < 1e-13 * s_d
+    assert abs(s_ad + (evs * np.log2(evs)).sum()) < 1e-12 * s_ad
+
+
+@pytest.mark.parametrize("r,n_max", [(0.5, None), (1.0, None), (1.5, None), (1.0, 40), (1.0, 80)])
+def test_truncated_tail_bound_is_honest(r, n_max):
+    # the truncated rows reported the dropped trace weight, 3.4e-13 at
+    # r = 0.5, where S_D was 5.9e-11 off the full series
+    trunc = dq.FockTruncation.auto(r) if n_max is None else dq.FockTruncation.fixed(n_max, r)
+    rep = dq.report_for(r, trunc)
+    got = (rep.neg_log, rep.negativity, rep.s_d, rep.s_ad, rep.mutual_info)
+    for value, exact in zip(got, mpmath_measures(r)):
+        assert abs(value - exact) <= rep.tail_bound
 
 
 @pytest.mark.parametrize("r", [1e-8, 1e-100, 1e-200])

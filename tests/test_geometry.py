@@ -22,6 +22,12 @@ def test_chart_rejects_bad_parameters(alpha, lam):
         dq.DiamondChart(alpha, lam)
 
 
+@pytest.mark.parametrize("alpha,lam", [(math.inf, 2.0), (math.nan, 2.0), (1.0, math.inf), (1.0, math.nan)])
+def test_chart_rejects_non_finite_parameters(alpha, lam):
+    with pytest.raises(ValueError):
+        dq.DiamondChart(alpha, lam)
+
+
 def test_rindler_origin_maps_to_left_vertex(chart):
     p = dq.rindler_to_diamond(chart, dq.EventCoords.rindler(0.0, 0.0))
     assert (p.c1, p.c2) == (0.0, -1.0)

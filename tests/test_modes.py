@@ -95,6 +95,18 @@ def test_squeezing_special_value(chart):
     assert abs(sq.r - math.atanh(0.5)) < 1e-15
 
 
+@pytest.mark.parametrize("omega_hat", [1e-12, 1e-8, 1e-4, 1.0, 20.0])
+def test_squeezing_matches_mpmath(omega_hat):
+    # atanh(exp(-x)) lost ~eps/x relative: 1.2e-6 at omega_hat = 1e-12,
+    # 2.7e-11 at 1e-8, 2.2e-15 at 1e-4.  The reference takes the rounded
+    # x = pi omega_hat/2, since r inherits x's own rounding x-fold as x grows
+    with mp.workdps(40):
+        exact = mp.atanh(mp.exp(-mp.mpf(math.pi * omega_hat / 2.0)))
+    for r in (dq.squeezing_from_frequency(dq.DiamondChart(1.0), omega_hat).r,
+              dq.r_from_lifetime(2.0, omega_hat)):
+        assert abs(r - exact) <= 1e-15 * exact
+
+
 def test_squeezing_decreasing_and_vanishing(chart):
     rs = [dq.squeezing_from_frequency(chart, w).r for w in (0.1, 0.5, 1, 5, 20, 200)]
     assert all(b < a for a, b in zip(rs, rs[1:]))

@@ -201,3 +201,11 @@ def test_quadrature_spec_validation():
         QuadratureSpec(1.0, 0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(0.0, 1.0, rel_tol=0.0)
+
+
+@pytest.mark.parametrize("lo,hi,rel_tol", [(0.0, 1.0, math.inf), (0.0, 1.0, math.nan),
+                                           (-math.inf, 1.0, 1e-10), (0.0, math.inf, 1e-10)])
+def test_quadrature_spec_rejects_non_finite_values(lo, hi, rel_tol):
+    # rel_tol = inf reached int(ceil(-inf)) and raised a bare OverflowError
+    with pytest.raises(ValueError):
+        QuadratureSpec(lo, hi, rel_tol=rel_tol)
