@@ -28,7 +28,7 @@ from .modes import (
     eval_mode,
     squeezing_from_frequency,
 )
-from .states import FockTruncation, build_rho_ad
+from .states import TRUNCATION_CAP, FockTruncation, build_rho_ad
 
 _FRAMES = {"diamond": Frame.DIAMOND, "rindler": Frame.RINDLER, "eta-xi": Frame.ETA_XI}
 _FAMILIES = {f.value: f for f in Family}
@@ -46,6 +46,14 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
+
+
+def _nmax(text: str):
+    if text == "auto":
+        return None
+    if not (text.isdecimal() and 1 <= int(text) <= TRUNCATION_CAP):
+        raise argparse.ArgumentTypeError(f"{text!r} is neither 'auto' nor an integer in [1, {TRUNCATION_CAP}]")
+    return int(text)
 
 
 def _point(s: str):
@@ -171,16 +179,12 @@ def _resolve_r(args):
     return sq.r, sq.omega_hat
 
 
-def _trunc_for(r, nmax: str, tol: float):
-    if nmax == "auto":
-        return FockTruncation.auto(r, tol=tol)
-    return FockTruncation.fixed(int(nmax), r)
-
-
 def cmd_state(args) -> int:
     r, omega_hat = _resolve_r(args)
-    trunc = _trunc_for(r, args.nmax, args.tol)
-    state = build_rho_ad(r, trunc)
+    if args.nmax is None:
+        state = build_rho_ad(r, FockTruncation.auto(r, args.tol))
+    else:
+        state = build_rho_ad(r, FockTruncation.fixed(args.nmax, r, args.tol))
     if args.dump == "dense":
         dense = state.to_dense()
         rows = "\n".join(",".join(_fmt(v) for v in row) for row in dense)
@@ -224,8 +228,7 @@ def _report_row(rep: EntanglementReport) -> str:
 def cmd_entanglement(args) -> int:
     scale = 1.0 if args.alpha_mode == "lifetime" else 2.0
     lifetimes = None if args.lifetime_grid is None else [scale * g for g in args.lifetime_grid]
-    n_max = None if args.nmax == "auto" else int(args.nmax)
-    reports, errors = sweep(args.r_grid, lifetimes, args.omega, n_max=n_max, tol=args.tol)
+    reports, errors = sweep(args.r_grid, lifetimes, args.omega, n_max=args.nmax, tol=args.tol)
     good = [rep for rep in reports if rep is not None]
     if args.format == "csv":
         body = "\n".join([_CSV_HEADER] + [_report_row(rep) for rep in good]) + "\n"
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_finite, default=None)
     p.add_argument("--alpha", type=_finite, default=1.0)
     p.add_argument("--omega-hat", type=_finite, default=None)
-    p.add_argument("--nmax", default="auto")
+    p.add_argument("--nmax", type=_nmax, default="auto")
     p.add_argument("--tol", type=_finite, default=1e-10)
     p.add_argument("--dump", choices=("blocks", "dense"), default="blocks")
     p.add_argument("--out", default=None)
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=_finite, default=None)
     p.add_argument("--alpha-mode", choices=("lifetime", "half-lifetime"), default="lifetime",
                    help="interpret lifetime-grid values as full lifetimes or as alpha")
-    p.add_argument("--nmax", default="auto")
+    p.add_argument("--nmax", type=_nmax, default="auto")
     p.add_argument("--tol", type=_finite, default=1e-10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)

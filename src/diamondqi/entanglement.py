@@ -1,13 +1,13 @@
 """Entanglement and correlation measures with closed-form series primaries.
 
 The partial-transpose spectrum, logarithmic negativity, entropies, and
-mutual information are all geometric-type series in q = tanh^2 r.  One
-engine, ``_series``, sums them for every r >= 1e-75 (below that the r = 0
-values stand in, to within r):
+mutual information are all sums over the two-mode series of ``states``.  One
+engine, ``_series``, sums them for every r >= states._R_LIMIT (below that
+the r = 0 values stand in, to within r):
 
 * the first K = 512 terms are summed directly, in one vectorized pass;
-  where that reaches a geometric tail below 1e-15 (r up to ~1.934) the sum
-  stops there;
+  where 64 past the blocks that leave a tail below 1e-15 fit in K (r up to
+  ~1.934) the sum stops there;
 * past that the weight spreads over ~cosh^2 r Fock levels, and the terms
   from t = K on are an Euler-Maclaurin tail: an integral over a 64-node
   Gauss-Legendre table built once at import, plus end corrections from
@@ -39,19 +39,19 @@ from .states import (
     FockTruncation,
     Representation,
     _as_r,
+    _LN2,
+    _R_LIMIT,
+    _blocks_for,
     _check_r_cap,
     _ln_tanh2,
+    _log_weights,
     _trace_tail,
     build_rho_ad,
     partial_transpose,
 )
 
-_LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
 _SERIES_TOL = 1e-15
-# below _R_LIMIT every measure is within 4 r^2 (1 + 2 ln(1/r)) < r of its
-# r = 0 limit, and T^2 ~ (t/sinh^2 r)^2 in the summands would overflow
-_R_LIMIT = 1e-75
 # terms summed directly; a series that needs more gets an Euler-Maclaurin
 # tail from t = _HEAD, which puts the switch at r ~ 1.934
 _HEAD = 512
@@ -150,21 +150,14 @@ def ppt_spectrum_oracle(state: BipartiteState) -> np.ndarray:
 # full-series engine
 # ---------------------------------------------------------------------------
 
-def _n_for_series(lnq: float, c2: float, tol: float) -> int:
-    n = max(8, int(math.ceil(math.log(tol) / lnq)))
-    for _ in range(4):
-        n = int(math.ceil((math.log(tol) - math.log1p(n / (2.0 * c2))) / lnq))
-    return n + 64
-
-
-def _summands(t: np.ndarray, lnq: float, c2: float, s2: float) -> np.ndarray:
+def _summands(r: float, t: np.ndarray, c2: float, s2: float) -> np.ndarray:
     """Rows (D, S_AD, S_D, I-series) of the four summands at Fock index t.
 
     w = q^t/(2 c2) is evaluated once, and ln p is taken from ln w, never
     from a rounded or underflowed p.  The D summand w (sqrt(T^2 + B) - T) is
     written w B/(sqrt(T^2 + B) + T), which does not cancel as B = 4/c2 -> 0.
     """
-    lw = t * lnq - math.log(2.0 * c2)
+    lw = _log_weights(r, t)
     w = np.exp(lw)
     e = t / s2
     c = (t + 1.0) / c2
@@ -185,10 +178,10 @@ def _series(r: float, n_max: Optional[int] = None) -> dict:
     (a Fock truncation: no tail, S_D adds Dave's level n_max, and
     I = 1 + S_D - S_AD of those sums), else the full series.
 
-    The full series is summed directly up to a geometric tail below
-    _SERIES_TOL, and tail_bound is that tail plus the rounding of the sum,
-    sqrt(N) eps S_D.  A series that needs more than _HEAD terms is summed
-    directly over t < K = _HEAD, and the rest is Euler-Maclaurin:
+    The full series is summed directly over N = _blocks_for(r, _SERIES_TOL)
+    + 64 terms, and tail_bound is the geometric tail past them plus the
+    rounding of the sum, sqrt(N) eps S_D.  A series that needs more than
+    _HEAD terms is summed directly over t < K = _HEAD, and the rest is Euler-Maclaurin:
     sum_{t >= K} phi ~ int_K phi + phi(K)/2 - phi'(K)/12 + phi'''(K)/720,
     with phi' and phi''' from stencils on the head.  The summands vary on
     the scale cosh^2 r there, so the neglected phi^(5)(K)/30240 and the
@@ -213,12 +206,12 @@ def _series(r: float, n_max: Optional[int] = None) -> dict:
     s2 = math.sinh(r) ** 2
     lnq = _ln_tanh2(r)
     q = math.exp(lnq)
-    n = _n_for_series(lnq, c2, _SERIES_TOL) if n_max is None else n_max
+    n = _blocks_for(r, _SERIES_TOL) + 64 if n_max is None else n_max
     em = n > _HEAD and n_max is None
     t = np.arange(_HEAD + 1 if em else n, dtype=float)
     if em:
         t = np.concatenate((t, _HEAD + c2 * _TAIL_X))
-    terms = _summands(t, lnq, c2, s2)
+    terms = _summands(r, t, c2, s2)
     terms[2, 1:2] = terms[2, 0]
     terms[3, :2] = 0.0
     if em:
@@ -231,7 +224,7 @@ def _series(r: float, n_max: Optional[int] = None) -> dict:
     d_sum, s_ad, s_d, m_sum = (float(x) for x in sums)
     if n_max is not None:
         # only |1, n_max> reaches Dave's level n_max: p = w_{n_max} n_max/s2
-        lp = n_max * lnq - math.log(2.0 * c2) + math.log(n_max / s2)
+        lp = _log_weights(r, n_max) + math.log(n_max / s2)
         s_d -= math.exp(lp) * lp / _LN2
         mutual_info = 1.0 + s_d - s_ad
     else:

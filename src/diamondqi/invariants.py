@@ -341,7 +341,7 @@ def _check_partial_transpose(rng, _):
         swapped[dd:, :dd] = dense[:dd, dd:]
         diff = _worst(diff, float(np.abs(pt.to_dense() - swapped).max()))
         blocks_ok = blocks_ok and pt.pt_diag1.shape == (n_max,)
-    return diff < 1e-15 and blocks_ok, f"entrywise {diff:.2e}"
+    return diff == 0.0 and blocks_ok, f"entrywise {diff:.2e}"
 
 
 def _check_ppt_oracle(rng, perturb):

@@ -1,8 +1,8 @@
 """Confluent hypergeometric M(a, b, z) and an oscillatory-quadrature engine.
 
 Only the parameter regime needed downstream is targeted: complex ``a``,
-real ``b`` (= 2 in practice), and purely imaginary ``z`` up to a configurable
-magnitude cap.  ``kummer_m`` has one route for every z: ``mpmath.hyp1f1`` at
+real ``b`` (= 2 in practice), and purely imaginary ``z`` up to the magnitude
+cap ``Z_CAP``.  ``kummer_m`` has one route for every z: ``mpmath.hyp1f1`` at
 53-bit working precision.  Its hypergeometric summation detects the
 cancellation of the series (about 0.43*|z| digits for imaginary arguments)
 and raises its internal precision to compensate, so the result is correct to
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainCap, NonConvergence
 
-DEFAULT_Z_CAP = 200.0
+Z_CAP = 200.0
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class KummerParams:
             raise ValueError(f"b={self.b} is a nonpositive integer (pole of M)")
 
 
-def kummer_m(params: KummerParams, z_cap: float = DEFAULT_Z_CAP) -> complex:
-    """M(a, b, z) with relative error <= 1e-10 for |z| <= z_cap.
+def kummer_m(params: KummerParams) -> complex:
+    """M(a, b, z) with relative error <= 1e-10 for |z| <= Z_CAP.
 
     Raises DomainCap beyond the cap and NonConvergence if mpmath's summation
     does not converge.
@@ -44,8 +44,8 @@ def kummer_m(params: KummerParams, z_cap: float = DEFAULT_Z_CAP) -> complex:
     if z == 0:
         return 1.0 + 0.0j
     absz = abs(z)
-    if absz > z_cap:
-        raise DomainCap(f"|z| = {absz:.3g} exceeds the validated cap {z_cap:.3g}")
+    if absz > Z_CAP:
+        raise DomainCap(f"|z| = {absz:.3g} exceeds the validated cap {Z_CAP:.3g}")
     # imported here, so that the modules that never call it skip mpmath's
     # import time
     import mpmath as mp

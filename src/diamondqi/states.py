@@ -6,8 +6,9 @@ retains the two-mode series through index n_max - 1, i.e. blocks n couple
 |0, n> with |1, n+1> for n = 0..n_max-1, so the highest retained Dave
 occupation is n_max.
 
-All series weights are geometric in q = tanh^2 r, so n_max is chosen from
-the closed-form tail q^N (1 + N/(2 cosh^2 r)).
+The two-mode series w_n = q^n / (2 cosh^2 r), q = tanh^2 r, is defined here
+once for every state and measure: ``_log_weights``, the block count
+``_blocks_for``, and the floor ``_R_LIMIT`` below which q = 0, as at r = 0.
 """
 
 import enum
@@ -25,6 +26,10 @@ TRUNCATION_CAP = 10_000
 # full series stay normal floats out to t = 60 cosh^2 r only for r < ~324,
 # and cosh^2 r overflows past r ~ 355.
 _R_MAX = 320.0
+# below _R_LIMIT the r = 0 state is exact to rounding, every measure is within
+# 4 r^2 (1 + 2 ln(1/r)) < r of its r = 0 value, and the summands overflow
+_R_LIMIT = 1e-75
+_LN2 = math.log(2.0)
 
 
 class Representation(enum.Enum):
@@ -47,12 +52,15 @@ def _as_r(r) -> float:
 
 
 def _ln_tanh2(r: float) -> float:
-    """ln q = ln tanh^2 r for r > 0, exact to rounding at every r.
+    """ln q = ln tanh^2 r, exact to rounding at every r >= _R_LIMIT; -inf,
+    the q = 0 of r = 0, below it.
 
     tanh^2 r = 1 - 1/cosh^2 r rounds to a point whose logarithm carries a
     relative error of ~cosh^2 r * eps, and the series weights q^n with
     n ~ cosh^2 r inherit it whole; -2 log1p(2/expm1(2r)) has no cancellation.
     """
+    if r < _R_LIMIT:
+        return -math.inf
     return -2.0 * math.log1p(2.0 / math.expm1(2.0 * r))
 
 
@@ -62,11 +70,29 @@ def _check_r_cap(r: float) -> float:
     return r
 
 
+def _log_weights(r: float, t):
+    """ln w_t = t ln q - ln(2 cosh^2 r) of the two-mode series at Fock index
+    t; below _R_LIMIT those of r = 0: ln(1/2) at t = 0 and -inf past it."""
+    if r < _R_LIMIT:
+        return np.where(t == 0, -_LN2, -np.inf)
+    return t * _ln_tanh2(r) - math.log(2.0 * math.cosh(r) ** 2)
+
+
 def _trace_tail(r: float, n_max: int) -> float:
     """Weight of the dropped blocks: sum_{n >= n_max} w_n (1 + (n+1)/c2)."""
-    if r == 0.0:
-        return 0.0
     return math.exp(n_max * _ln_tanh2(r)) * (1.0 + n_max / (2.0 * math.cosh(r) ** 2))
+
+
+def _blocks_for(r: float, tol: float) -> int:
+    """Smallest n >= 2 with _trace_tail(r, n) <= tol, i.e. n >= f(n) =
+    (ln tol - log1p(n/(2 c2)))/ln q; f rises with n, so n -> max(2, ceil f(n))
+    climbs from n = 2 to that n and stops there, or once past TRUNCATION_CAP."""
+    lnq = _ln_tanh2(r)
+    c2 = math.cosh(r) ** 2
+    n, prev = 2, 0
+    while n != prev and n <= TRUNCATION_CAP:
+        n, prev = max(2, int(math.ceil((math.log(tol) - math.log1p(n / (2.0 * c2))) / lnq))), n
+    return n
 
 
 @dataclass(frozen=True)
@@ -82,18 +108,11 @@ class FockTruncation:
             raise ValueError("n_max must be >= 1")
 
     @classmethod
-    def auto(cls, r, tol: float = 1e-12, cap: int = TRUNCATION_CAP) -> "FockTruncation":
-        """Smallest n_max with tail below tol, capped; the cap may leave a
-        larger tail, which the assembly operations then reject."""
+    def auto(cls, r, tol: float = 1e-12) -> "FockTruncation":
+        """_blocks_for(r, tol) blocks, capped at TRUNCATION_CAP; the cap may
+        leave a larger tail, which the assembly operations then reject."""
         r = _check_r_cap(_as_r(r))
-        if r == 0.0:
-            return cls(2, 0.0, tol)
-        lnq = _ln_tanh2(r)
-        c2 = math.cosh(r) ** 2
-        n = max(2, int(math.ceil(math.log(tol) / lnq)))
-        for _ in range(4):
-            n = max(2, int(math.ceil((math.log(tol) - math.log1p(n / (2.0 * c2))) / lnq)))
-        n = min(n, cap)
+        n = min(_blocks_for(r, tol), TRUNCATION_CAP)
         return cls(n, _trace_tail(r, n), tol)
 
     @classmethod
@@ -175,38 +194,22 @@ class BipartiteState:
 
 def _geometric_weights(r: float, n_max: int) -> np.ndarray:
     """w_n = tanh^{2n} r / (2 cosh^2 r), n = 0..n_max-1."""
-    n = np.arange(n_max, dtype=float)
-    c2 = math.cosh(r) ** 2
-    if r == 0.0:
-        w = np.zeros(n_max)
-        w[0] = 0.5
-        return w
-    return np.exp(n * _ln_tanh2(r)) / (2.0 * c2)
+    return np.exp(_log_weights(r, np.arange(n_max, dtype=float)))
 
 
 def unruh_vacuum_coefficients(r, trunc: FockTruncation) -> np.ndarray:
-    """Amplitudes tanh^n r / cosh r of |n, n> in the squeezed vacuum, n = 0..n_max."""
+    """Amplitudes tanh^n r / cosh r = sqrt(2 w_n) of |n, n>, n = 0..n_max."""
     r = _as_r(r)
     trunc.check()
-    n = np.arange(trunc.n_max + 1, dtype=float)
-    if r == 0.0:
-        amps = np.zeros(trunc.n_max + 1)
-        amps[0] = 1.0
-        return amps
-    return np.exp(n * (0.5 * _ln_tanh2(r))) / math.cosh(r)
+    return np.exp(0.5 * (_log_weights(r, np.arange(trunc.n_max + 1, dtype=float)) + _LN2))
 
 
 def unruh_one_particle_coefficients(r, trunc: FockTruncation) -> np.ndarray:
-    """Amplitudes tanh^n r sqrt(n+1) / cosh^2 r of |n+1, n>, n = 0..n_max-1."""
+    """Amplitudes sqrt(2 w_n (n+1)) / cosh r of |n+1, n>, n = 0..n_max-1."""
     r = _as_r(r)
     trunc.check()
     n = np.arange(trunc.n_max, dtype=float)
-    c2 = math.cosh(r) ** 2
-    if r == 0.0:
-        amps = np.zeros(trunc.n_max)
-        amps[0] = 1.0
-        return amps
-    return np.exp(n * (0.5 * _ln_tanh2(r))) * np.sqrt(n + 1.0) / c2
+    return np.exp(0.5 * (_log_weights(r, n) + _LN2)) * np.sqrt(n + 1.0) / math.cosh(r)
 
 
 def build_rho_ad(r, trunc: Optional[FockTruncation] = None) -> BipartiteState:
@@ -225,17 +228,16 @@ def partial_transpose(state: BipartiteState) -> BipartiteState:
     """Exchange Alice indices; blocks regroup onto {|1,n>, |0,n+1>}.
 
     The |1,n> diagonal w_{n-1} gamma_{n-1}^2 equals the textbook n/sinh^2 r
-    form but stays finite through r -> 0.  |0,n_max> lies outside the
-    retained blocks, so the last block's |0,n+1> diagonal is 0, and
-    |1,n_max> stands alone as lambda_top.  Every entry matches the
-    index-swapped dense matrix to rounding.
+    form but stays finite through r -> 0.  The |0,n+1> diagonal is
+    w_n q = w_{n+1}; |0,n_max> lies outside the retained blocks, so the last
+    block's is 0, and |1,n_max> stands alone as lambda_top.  Every entry
+    equals the index-swapped dense matrix's.
     """
     if state.representation is not Representation.RHO_AD:
         raise ValueError("partial_transpose expects the rho_AD representation")
-    q = math.tanh(state.r) ** 2
     lifted = state.weights * state.gammas ** 2
     diag1 = np.concatenate(([0.0], lifted[:-1]))
-    diag2 = np.concatenate((state.weights[:-1] * q, [0.0]))
+    diag2 = np.concatenate((state.weights[1:], [0.0]))
     coh = state.weights * state.gammas
     return BipartiteState(
         state.r, state.trunc, Representation.RHO_AD_PT, state.weights, state.gammas,

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from diamondqi.cli import _MAX_GRID_POINTS, _grid, _report_row, main
+from diamondqi.cli import _MAX_GRID_POINTS, _grid, _nmax, _report_row, main
 from diamondqi.entanglement import report_for
 from diamondqi.invariants import run_selftest
-from diamondqi.states import FockTruncation
+from diamondqi.states import TRUNCATION_CAP, FockTruncation
 
 
 def run_cli(capsys, *argv):
@@ -77,7 +77,7 @@ def test_bogoliubov_ext_closed_is_numeric_failure(capsys):
 
 
 def test_state_blocks_json(capsys):
-    code, out, _ = run_cli(capsys, "state", "--r", "0.5", "--nmax", "8")
+    code, out, _ = run_cli(capsys, "state", "--r", "0.5", "--nmax", "8", "--tol", "1")
     assert code == 0
     rec = json.loads(out)
     assert rec["n_max"] == 8 and len(rec["blocks"]) == 8
@@ -96,7 +96,7 @@ def test_state_dense_csv(capsys, tmp_path):
 
 def test_state_from_omega_hat(capsys):
     code, out, _ = run_cli(capsys, "state", "--alpha", "1", "--omega-hat",
-                           str((2 / math.pi) * math.log(2)), "--nmax", "12")
+                           str((2 / math.pi) * math.log(2)), "--nmax", "12", "--tol", "1")
     rec = json.loads(out)
     assert abs(rec["r"] - math.atanh(0.5)) < 1e-12
 
@@ -105,6 +105,15 @@ def test_state_truncation_failure_exit_code(capsys):
     code, _, err = run_cli(capsys, "state", "--r", "4", "--tol", "1e-12")
     assert code == 1
     assert json.loads(err)["error"]["type"] == "TruncationTooSmall"
+
+
+def test_state_fixed_nmax_honours_tol(capsys):
+    # 5 blocks drop 97.5 % of the trace at r = 3
+    code, _, err = run_cli(capsys, "state", "--r", "3", "--nmax", "5", "--tol", "1e-10")
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "TruncationTooSmall"
+    code, out, _ = run_cli(capsys, "state", "--r", "3", "--nmax", "5", "--tol", "1")
+    assert code == 0 and json.loads(out)["n_max"] == 5
 
 
 def test_entanglement_csv_schema_and_determinism(capsys):
@@ -215,6 +224,11 @@ def test_usage_error_exit_code():
     ["map", "--alpha", "inf", "--from", "diamond", "--to", "rindler", "--point", "0,0"],
     ["bogoliubov", "--omega-hat", "1", "--k-hat", "1", "--kind", "alpha", "--method", "quadrature",
      "--rel-tol", "inf"],
+    # these exited 1, as numeric failures
+    ["entanglement", "--r-grid", "0:1:0.5", "--nmax", "abc"],
+    ["entanglement", "--r-grid", "0:1:0.5", "--nmax", "0"],
+    ["entanglement", "--r-grid", "0:1:0.5", "--nmax", "-3"],
+    ["state", "--r", "0.5", "--nmax", "0"],
 ])
 def test_bad_values_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:
@@ -226,6 +240,14 @@ def test_grid_size_cap():
     assert len(_grid(f"0:{_MAX_GRID_POINTS - 1}:1")) == _MAX_GRID_POINTS
     with pytest.raises(argparse.ArgumentTypeError):
         _grid(f"0:{_MAX_GRID_POINTS}:1")
+
+
+def test_nmax_type_takes_auto_or_a_block_count_up_to_the_cap():
+    assert _nmax("auto") is None
+    assert _nmax("1") == 1 and _nmax(str(TRUNCATION_CAP)) == TRUNCATION_CAP
+    for text in ("0", str(TRUNCATION_CAP + 1), "1.5", "1e3", ""):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _nmax(text)
 
 
 def test_selftest_negative_control(capsys):

@@ -298,6 +298,13 @@ def test_series_cost_is_bounded_by_the_head():
         assert dq.report_for(r).n_max_used <= _HEAD
 
 
+def test_direct_sums_take_the_truncation_block_count():
+    # the series sized its own sum and took 71 terms at r = 0.05, where 70
+    # are 64 past the blocks FockTruncation.auto keeps for the same tail
+    for r in np.arange(0.01, R_SWITCH, 0.01):
+        assert dq.report_for(r).n_max_used == dq.FockTruncation.auto(r, 1e-15).n_max + 64
+
+
 @pytest.mark.parametrize("r", [0.0, 1e-8, 0.5, 2.0])
 def test_truncated_report_matches_the_scalar_measures(r):
     for trunc in (dq.FockTruncation.auto(r), dq.FockTruncation.fixed(40, r)):
@@ -354,6 +361,17 @@ def test_truncated_measures_at_small_r(r):
     assert math.copysign(1.0, s_ad) == 1.0
     for value, full in zip((s_a, s_d, s_ad, mi), (rep.s_a, rep.s_d, rep.s_ad, rep.mutual_info)):
         assert abs(value - full) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [1e-80, 1e-310, 5e-324])
+def test_truncated_reports_below_the_floor_are_the_r_zero_reports(r):
+    # below ~1e-308 ln q overflowed to -inf, and the truncated weights and
+    # with them neg_log and tail_bound read NaN
+    fields = ("neg_log", "negativity", "s_a", "s_d", "s_ad", "mutual_info", "n_max_used")
+    for make in (dq.FockTruncation.auto, lambda x: dq.FockTruncation.fixed(5, x)):
+        rep, rep0 = dq.report_for(r, make(r)), dq.report_for(0.0, make(0.0))
+        assert all(getattr(rep, k) == getattr(rep0, k) for k in fields)
+        assert math.isfinite(rep.tail_bound) and rep.tail_bound <= rep0.tail_bound + r
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,6 @@ def test_package_import_leaves_mpmath_unloaded():
 def test_kummer_domain_cap():
     with pytest.raises(DomainCap):
         kummer_m(KummerParams(1 - 0.5j, 2.0, 300j))
-    # configurable cap
-    with pytest.raises(DomainCap):
-        kummer_m(KummerParams(1 - 0.5j, 2.0, 40j), z_cap=30.0)
 
 
 def test_kummer_rejects_nonpositive_integer_b():

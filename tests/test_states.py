@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import diamondqi as dq
-from diamondqi.states import Representation, Subsystem, _geometric_weights, _ln_tanh2
+from diamondqi.states import (
+    TRUNCATION_CAP,
+    Representation,
+    Subsystem,
+    _blocks_for,
+    _geometric_weights,
+    _ln_tanh2,
+    _trace_tail,
+)
 from test_invariants import lookup
 
 
@@ -45,6 +53,18 @@ def test_truncations_raise_domain_cap_past_the_series_cap():
     with pytest.raises(dq.DomainCap):
         dq.FockTruncation.fixed(10, 321.0)
     assert dq.FockTruncation.fixed(10, 320.0).n_max == 10
+
+
+def test_auto_is_the_smallest_block_count_that_meets_tol(rng):
+    # four fixed-point steps stopped short at r ~ 3.4 and tol ~ 0.1, where
+    # auto returned blocks whose tail exceeded tol
+    for r, log_tol in zip(rng.uniform(0.0, 4.0, 300), rng.uniform(-15.0, -0.5, 300)):
+        r, tol = float(r), 10.0 ** float(log_tol)
+        n = dq.FockTruncation.auto(r, tol).n_max
+        assert n == _blocks_for(r, tol) or n == TRUNCATION_CAP
+        if n < TRUNCATION_CAP:
+            assert _trace_tail(r, n) <= tol
+            assert n == 2 or _trace_tail(r, n - 1) > tol
 
 
 def test_fixed_truncation_never_raises():
@@ -87,6 +107,18 @@ def test_one_particle_coefficients():
     assert abs((amps ** 2).sum() - 1.0) < 1e-12
     amps0 = dq.unruh_one_particle_coefficients(0.0, dq.FockTruncation.auto(0.0))
     assert amps0[0] == 1.0 and not amps0[1:].any()
+
+
+@pytest.mark.parametrize("r", [1e-80, 1e-310, 5e-324])
+def test_states_below_the_floor_are_the_r_zero_state(r):
+    # below ~1e-308 ln q overflowed to -inf, and w_0 = exp(0 * -inf) read NaN
+    st, st0 = dq.build_rho_ad(r), dq.build_rho_ad(0.0)
+    assert st.trunc.n_max == st0.trunc.n_max and st.trunc.tail_bound == st0.trunc.tail_bound
+    assert np.array_equal(st.weights, st0.weights) and np.array_equal(st.gammas, st0.gammas)
+    fixed, fixed0 = dq.FockTruncation.fixed(5, r), dq.FockTruncation.fixed(5, 0.0)
+    for trunc, trunc0 in ((st.trunc, st0.trunc), (fixed, fixed0)):
+        for amplitudes in (dq.unruh_vacuum_coefficients, dq.unruh_one_particle_coefficients):
+            assert np.array_equal(amplitudes(r, trunc), amplitudes(0.0, trunc0))
 
 
 def test_one_particle_monotone_decay_small_r():
