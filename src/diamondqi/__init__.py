@@ -9,7 +9,6 @@ information).
 
 from .entanglement import (
     EntanglementReport,
-    PptSpectrum,
     entropies,
     figure_grid,
     log_negativity,
@@ -37,7 +36,6 @@ from .geometry import (
     Frame,
     Region,
     Wedge,
-    WedgeTag,
     classify_region,
     conformal_factor,
     convert,
@@ -65,9 +63,7 @@ from .specfun import KummerParams, QuadratureSpec, kummer_m, oscillatory_integra
 from .states import (
     BipartiteState,
     FockTruncation,
-    Representation,
-    SingleSystemState,
-    Subsystem,
+    PartialTranspose,
     build_rho_ad,
     partial_transpose,
     reduce_to_alice,

@@ -117,7 +117,7 @@ def cmd_map(args) -> int:
         "input": _point_json(p),
         "output": _point_json(out),
         "region": region.value,
-        "wedge": wedge.wedge.value if wedge else None,
+        "wedge": wedge.value if wedge else None,
         "conformal_factor": omega,
     }
     print(json.dumps(record))
@@ -195,7 +195,7 @@ def cmd_state(args) -> int:
         "omega_hat": omega_hat,
         "n_max": state.n_max,
         "tail_bound": state.trunc.tail_bound,
-        "representation": state.representation.value,
+        "representation": "rho_AD",
         "trace": state.trace(),
         "blocks": [
             {"n": i, "weight": float(w), "gamma": float(g)}

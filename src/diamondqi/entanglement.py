@@ -16,7 +16,9 @@ the r = 0 values stand in, to within r):
 Every call costs at most K + 1 + 64 summands, and the measures match a
 30-digit mpmath sum to ~3e-15 relative on r in [0.1, 12].  The measures
 of an explicit Fock truncation are the same sums over the retained Dave
-levels 0..n_max, with N and log N from its partial-transpose spectrum.
+levels 0..n_max, with N and log N from the closed-form eigenvalues of its
+``states.PartialTranspose``; ``ppt_spectrum_oracle`` diagonalizes the same
+operator dense.
 
 A useful exact rearrangement: the block traces of the partial transpose
 telescope to 1, so the trace norm is 1 + D with
@@ -35,9 +37,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .modes import _squeezing_r
 from .states import (
-    BipartiteState,
     FockTruncation,
-    Representation,
+    PartialTranspose,
     _as_r,
     _LN2,
     _R_LIMIT,
@@ -90,23 +91,6 @@ _TAIL_X, _TAIL_W = _tail_table()
 
 
 @dataclass(frozen=True)
-class PptSpectrum:
-    """The eigenvalues of the 1x1 PT blocks |0,0> and |1,n_max>, and the
-    (lambda+, lambda-) pairs of the 2x2 ones."""
-
-    lambda0: float
-    pairs: np.ndarray  # shape (n_max, 2)
-    lambda_top: float
-    r: float
-
-    def all_values(self) -> np.ndarray:
-        return np.concatenate(([self.lambda0], self.pairs.ravel(), [self.lambda_top]))
-
-    def trace_norm(self) -> float:
-        return float(np.abs(self.all_values()).sum())
-
-
-@dataclass(frozen=True)
 class EntanglementReport:
     r: float
     neg_log: float
@@ -123,27 +107,15 @@ class EntanglementReport:
 # closed-form PT spectrum and its dense oracle
 # ---------------------------------------------------------------------------
 
-def ppt_spectrum_closed_form(r, trunc: Optional[FockTruncation] = None) -> PptSpectrum:
-    """Eigenvalues of the partial transpose: lambda0, lambda_top, and a pair
-    per 2x2 block of states.partial_transpose.
-
-    Below the last block the pairs equal lambda_+/-^(n) = tanh^{2n} r /
-    (4 cosh^2 r) * (n/sinh^2 r + tanh^2 r +/- sqrt(Z_n)), evaluated in a form
-    that stays finite through r -> 0; the last block has no |0,n_max> entry.
-    """
-    pt = partial_transpose(build_rho_ad(r, trunc))
-    a, c, g = pt.pt_diag1, pt.pt_diag2, pt.pt_coh
-    mean = 0.5 * (a + c)
-    disc = np.sqrt((0.5 * (a - c)) ** 2 + g ** 2)
-    pairs = np.stack([mean + disc, mean - disc], axis=1)
-    return PptSpectrum(pt.lambda0, pairs, pt.lambda_top, pt.r)
+def ppt_spectrum_closed_form(r, trunc: Optional[FockTruncation] = None) -> PartialTranspose:
+    """The partial transpose of rho_AD, whose pairs, all_values() and
+    trace_norm() are its eigenvalues in closed form."""
+    return partial_transpose(build_rho_ad(r, trunc))
 
 
-def ppt_spectrum_oracle(state: BipartiteState) -> np.ndarray:
-    """Sorted eigenvalues of the assembled dense partial transpose."""
-    if state.representation is not Representation.RHO_AD_PT:
-        raise ValueError("ppt_spectrum_oracle expects the partial-transpose representation")
-    return np.sort(np.linalg.eigvalsh(state.to_dense()))
+def ppt_spectrum_oracle(r, trunc: Optional[FockTruncation] = None) -> np.ndarray:
+    """Sorted eigenvalues of the same partial transpose, assembled dense."""
+    return np.sort(np.linalg.eigvalsh(partial_transpose(build_rho_ad(r, trunc)).to_dense()))
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,6 @@ class Wedge(enum.Enum):
 
 
 @dataclass(frozen=True)
-class WedgeTag:
-    wedge: Wedge
-
-
-@dataclass(frozen=True)
 class DiamondChart:
     """Diamond parameter bundle: half-lifetime alpha and dilatation lam.
 
@@ -193,7 +188,7 @@ def lightcone_map(chart: DiamondChart, V: float, U: float) -> Tuple[float, float
     return vt, ut
 
 
-def classify_region(chart: DiamondChart, p: EventCoords) -> Tuple[Region, Optional[WedgeTag]]:
+def classify_region(chart: DiamondChart, p: EventCoords) -> Tuple[Region, Optional[Wedge]]:
     """Atlas location of a DIAMOND-frame point and the Rindler wedge it images.
 
     Classification uses only |V|, |U| against alpha (sign table of the
@@ -207,12 +202,12 @@ def classify_region(chart: DiamondChart, p: EventCoords) -> Tuple[Region, Option
         return Region.BOUNDARY, None
     v_in, u_in = vh < 1.0, uh < 1.0
     if v_in and u_in:
-        return Region.D, WedgeTag(Wedge.R)
+        return Region.D, Wedge.R
     if not v_in and not u_in:
-        return Region.DBAR, WedgeTag(Wedge.L)
+        return Region.DBAR, Wedge.L
     if v_in:  # |V| < alpha < |U|
-        return Region.DBARBAR_FUTURE_IMAGE, WedgeTag(Wedge.F)
-    return Region.DBARBAR_PAST_IMAGE, WedgeTag(Wedge.P)
+        return Region.DBARBAR_FUTURE_IMAGE, Wedge.F
+    return Region.DBARBAR_PAST_IMAGE, Wedge.P
 
 
 def diamond_coords(chart: DiamondChart, p: EventCoords) -> EventCoords:

@@ -169,9 +169,9 @@ REGION_BATTERY = [
 def _check_region_battery(rng, _):
     chart = DiamondChart(1.0, 2.0)
     for (t, x), region, wedge in REGION_BATTERY:
-        reg, tag = classify_region(chart, EventCoords.diamond(t, x))
-        if reg is not region or tag.wedge is not wedge:
-            return False, f"({t},{x}) -> {reg.value},{tag.wedge.value}, want {region.value},{wedge.value}"
+        got = classify_region(chart, EventCoords.diamond(t, x))
+        if got != (region, wedge):
+            return False, f"({t},{x}) -> {got}, want {(region, wedge)}"
     return True, f"{len(REGION_BATTERY)} points"
 
 
@@ -317,9 +317,9 @@ def _check_state_integrity(rng, _):
         dense = st.to_dense()
         worst_tr = _worst(worst_tr, abs(st.trace() - 1.0) - st.trunc.tail_bound)
         worst_eig = _worst(worst_eig, -float(np.linalg.eigvalsh(dense).min()))
-        alice = reduce_to_alice(st).weights
+        alice = reduce_to_alice(st)
         worst_alice = _worst(worst_alice, float(np.abs(alice - 0.5).max()) - st.trunc.tail_bound)
-        dave = reduce_to_dave(st).weights
+        dave = reduce_to_dave(st)
         dd = st.dave_dim
         oracle = dense[:dd, :dd].diagonal() + dense[dd:, dd:].diagonal()
         worst_dave = _worst(worst_dave, float(np.abs(dave - oracle).max()))
@@ -353,7 +353,7 @@ def _check_ppt_oracle(rng, perturb):
         if not (spec.pairs[:, 1] < 0).all():
             return False, f"nonnegative lambda- at r={r}"
         closed = np.sort(spec.all_values() * factor)
-        oracle = ppt_spectrum_oracle(partial_transpose(build_rho_ad(r, trunc)))
+        oracle = ppt_spectrum_oracle(r, trunc)
         worst = _worst(worst, float(np.abs(closed - oracle).max()))
     return worst < 1e-8, f"worst abs {worst:.2e}"
 
@@ -362,7 +362,7 @@ def _check_negativity_identities(rng, _):
     worst = 0.0
     for r in (0.3, 1.0, 3.0):
         trunc = FockTruncation.fixed(200, r)
-        tn = float(np.abs(ppt_spectrum_oracle(partial_transpose(build_rho_ad(r, trunc)))).sum())
+        tn = float(np.abs(ppt_spectrum_oracle(r, trunc)).sum())
         worst = _worst(worst, abs(log_negativity(r, trunc) - math.log2(tn)))
         worst = _worst(worst, abs(log_negativity(r) - math.log2(2.0 * negativity(r) + 1.0)))
     return worst < 1e-8, f"worst {worst:.2e}"

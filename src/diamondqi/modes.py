@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutOfSupport, UnsupportedRegion
+from .errors import DomainCap, OutOfSupport, UnsupportedRegion
 from .geometry import DiamondChart, EventCoords, Frame, convert
 from .specfun import KummerParams, QuadratureSpec, kummer_m, oscillatory_integral
 
@@ -178,14 +178,18 @@ def bogoliubov_closed_form(
     alpha: (alpha/2) sqrt(wk)/sinh(pi w/2) e^{-ik} M(1 - iw/2, 2, +2ik)
     beta:  the same with k -> -k inside the phase and M (sqrt(k) fixed).
     Both brackets are real.  No closed form is implemented for the exterior
-    region; use the quadrature route there.
+    region; use the quadrature route there.  Raises DomainCap where
+    sinh(pi w/2) overflows, past w ~ 452.
     """
     _check_bog_args(omega_hat, k_hat, kind)
     if region is not ModeRegion.INT:
         raise UnsupportedRegion("closed form available for the interior region only")
+    try:
+        pref = (chart.alpha / 2.0) * math.sqrt(omega_hat * k_hat) / math.sinh(math.pi * omega_hat / 2.0)
+    except OverflowError:
+        raise DomainCap(f"omega_hat = {omega_hat:.6g}: sinh(pi omega_hat/2) overflows") from None
     sign = 1.0 if kind == "alpha" else -1.0
     m = kummer_m(KummerParams(1.0 - 0.5j * omega_hat, 2.0, sign * 2j * k_hat))
-    pref = (chart.alpha / 2.0) * math.sqrt(omega_hat * k_hat) / math.sinh(math.pi * omega_hat / 2.0)
     return pref * complex(np.exp(-sign * 1j * k_hat)) * m
 
 

@@ -18,6 +18,11 @@ import numpy as np
 from .errors import DomainCap, NonConvergence
 
 Z_CAP = 200.0
+# integrand points one oscillatory integral may evaluate, 2.4 times the
+# 3.5e6 of the largest call in the tests, the selftest and the seeded
+# Bogoliubov benchmark grid: the interior beta coefficient at
+# (omega_hat, k_hat) = (8, 50)
+QUAD_NODE_BUDGET = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,8 @@ def oscillatory_integral_with_error(f, spec: QuadratureSpec):
     endpoint phases of unit-modulus type (1 -/+ u)^(+/- i w/2) into plain
     Fourier factors in s and gives the trapezoid rule geometric convergence.
     Nested halving supplies the error estimate.  Returns (value, estimate).
+    Raises NonConvergence, with the best estimate so far, before a pass that
+    would take the integrand points evaluated past QUAD_NODE_BUDGET.
     """
     w = 0.5 * (spec.hi - spec.lo)
     m = 0.5 * (spec.hi + spec.lo)
@@ -102,7 +109,10 @@ def oscillatory_integral_with_error(f, spec: QuadratureSpec):
 
     nu = max(1.0, abs(spec.oscillation_hint) * max(w, 1.0))
     h = min(0.5, np.pi / (6.0 * nu))
+    if not 2.0 * S / QUAD_NODE_BUDGET < h:
+        raise NonConvergence(f"the first pass alone exceeds the budget of {QUAD_NODE_BUDGET} integrand points")
     npts = int(np.ceil(2.0 * S / h)) + 1
+    nodes = npts
     h = 2.0 * S / (npts - 1)
     s = -S + h * np.arange(npts)
     total = g(s).sum()
@@ -111,6 +121,9 @@ def oscillatory_integral_with_error(f, spec: QuadratureSpec):
     est = np.inf
     good = 0
     for _ in range(spec.max_subdivisions):
+        nodes += npts - 1
+        if nodes > QUAD_NODE_BUDGET:
+            break
         mid = -S + 0.5 * h + h * np.arange(npts - 1)
         total = total + g(mid).sum()
         h *= 0.5
@@ -126,7 +139,7 @@ def oscillatory_integral_with_error(f, spec: QuadratureSpec):
             good = 0
         prev = value
     raise NonConvergence(
-        "oscillatory integral failed to reach rel_tol within the subdivision budget",
+        "oscillatory integral failed to reach rel_tol within the subdivision and node budgets",
         best_estimate=complex(value),
         error_bound=float(est),
     )

@@ -1,5 +1,10 @@
 """Truncated Fock-space realization of the Alice-Dave state.
 
+Two operators, one type each: ``BipartiteState`` holds rho_AD, and
+``PartialTranspose`` its partial transpose over Alice together with that
+operator's closed-form eigenvalues.  The reductions to Alice and to Dave
+return their diagonal weights as plain arrays.
+
 Basis layout is Alice-occupation major, Dave-occupation minor: index
 (a, d) -> a*(n_max + 1) + d with a in {0, 1} and d in 0..n_max.  The state
 retains the two-mode series through index n_max - 1, i.e. blocks n couple
@@ -11,7 +16,6 @@ once for every state and measure: ``_log_weights``, the block count
 ``_blocks_for``, and the floor ``_R_LIMIT`` below which q = 0, as at r = 0.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainCap, TruncationTooSmall
-from .modes import SqueezingParameter
 
 TRUNCATION_CAP = 10_000
 # Validated cap on r: the Euler-Maclaurin weights q^t / (2 cosh^2 r) of the
@@ -32,19 +35,7 @@ _R_LIMIT = 1e-75
 _LN2 = math.log(2.0)
 
 
-class Representation(enum.Enum):
-    RHO_AD = "rho_AD"
-    RHO_AD_PT = "rho_AD_partial_transpose"
-
-
-class Subsystem(enum.Enum):
-    ALICE = "Alice"
-    DAVE = "Dave"
-
-
 def _as_r(r) -> float:
-    if isinstance(r, SqueezingParameter):
-        return r.r
     r = float(r)
     if not r >= 0:
         raise ValueError("r must be nonnegative")
@@ -129,33 +120,14 @@ class FockTruncation:
 
 
 @dataclass(frozen=True)
-class SingleSystemState:
-    kind: Subsystem
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
 class BipartiteState:
-    """Block-structured rho_AD or its partial transpose.
-
-    rho_AD blocks (n = 0..n_max-1) act on {|0,n>, |1,n+1>} as
-    weights[n] * [[1, g], [g, g^2]] with g = gammas[n] = sqrt(n+1)/cosh r.
-    The partial transpose carries the standalone |0,0> weight lambda0, the
-    standalone |1,n_max> weight lambda_top, and 2x2 blocks on
-    {|1,n>, |0,n+1>} with diagonal (pt_diag1[n], pt_diag2[n]) and coherence
-    pt_coh[n].
-    """
+    """Block-structured rho_AD: blocks n = 0..n_max-1 act on {|0,n>, |1,n+1>}
+    as weights[n] * [[1, g], [g, g^2]] with g = gammas[n] = sqrt(n+1)/cosh r."""
 
     r: float
     trunc: FockTruncation
-    representation: Representation
     weights: np.ndarray
     gammas: np.ndarray
-    lambda0: Optional[float] = None
-    lambda_top: Optional[float] = None
-    pt_diag1: Optional[np.ndarray] = None
-    pt_diag2: Optional[np.ndarray] = None
-    pt_coh: Optional[np.ndarray] = None
 
     @property
     def n_max(self) -> int:
@@ -170,25 +142,68 @@ class BipartiteState:
         dd = self.dave_dim
         m = np.zeros((2 * dd, 2 * dd))
         n = np.arange(self.n_max)
-        if self.representation is Representation.RHO_AD:
-            i = n            # (0, n)
-            j = dd + n + 1   # (1, n+1)
-            m[i, i] += self.weights
-            m[i, j] = m[j, i] = self.weights * self.gammas
-            m[j, j] += self.weights * self.gammas ** 2
-        else:
-            m[0, 0] = self.lambda0
-            m[-1, -1] = self.lambda_top  # (1, n_max)
-            i = dd + n       # (1, n)
-            j = n + 1        # (0, n+1)
-            m[i, i] += self.pt_diag1
-            m[i, j] = m[j, i] = self.pt_coh
-            m[j, j] += self.pt_diag2
+        i = n            # (0, n)
+        j = dd + n + 1   # (1, n+1)
+        m[i, i] += self.weights
+        m[i, j] = m[j, i] = self.weights * self.gammas
+        m[j, j] += self.weights * self.gammas ** 2
         return m
 
     def trace(self) -> float:
-        if self.representation is Representation.RHO_AD:
-            return float((self.weights * (1.0 + self.gammas ** 2)).sum())
+        return float((self.weights * (1.0 + self.gammas ** 2)).sum())
+
+
+@dataclass(frozen=True)
+class PartialTranspose:
+    """The partial transpose of rho_AD: the standalone |0,0> weight lambda0,
+    the standalone |1,n_max> weight lambda_top, and 2x2 blocks on
+    {|1,n>, |0,n+1>} with diagonal (pt_diag1[n], pt_diag2[n]) and coherence
+    pt_coh[n].  Its eigenvalues are lambda0, lambda_top and one pair per block.
+    """
+
+    r: float
+    trunc: FockTruncation
+    lambda0: float
+    lambda_top: float
+    pt_diag1: np.ndarray
+    pt_diag2: np.ndarray
+    pt_coh: np.ndarray
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """(lambda+, lambda-) of each 2x2 block, shape (n_max, 2).
+
+        Below the last block they equal lambda_+/-^(n) = tanh^{2n} r /
+        (4 cosh^2 r) * (n/sinh^2 r + tanh^2 r +/- sqrt(Z_n)), evaluated in a
+        form that stays finite through r -> 0; the last block has no
+        |0,n_max> entry.
+        """
+        a, c, g = self.pt_diag1, self.pt_diag2, self.pt_coh
+        mean = 0.5 * (a + c)
+        disc = np.sqrt((0.5 * (a - c)) ** 2 + g ** 2)
+        return np.stack([mean + disc, mean - disc], axis=1)
+
+    def all_values(self) -> np.ndarray:
+        return np.concatenate(([self.lambda0], self.pairs.ravel(), [self.lambda_top]))
+
+    def trace_norm(self) -> float:
+        return float(np.abs(self.all_values()).sum())
+
+    def to_dense(self) -> np.ndarray:
+        """Assemble the full 2*(n_max+1) matrix in the (a, d) basis."""
+        dd = self.trunc.n_max + 1
+        m = np.zeros((2 * dd, 2 * dd))
+        n = np.arange(self.trunc.n_max)
+        m[0, 0] = self.lambda0
+        m[-1, -1] = self.lambda_top  # (1, n_max)
+        i = dd + n       # (1, n)
+        j = n + 1        # (0, n+1)
+        m[i, i] += self.pt_diag1
+        m[i, j] = m[j, i] = self.pt_coh
+        m[j, j] += self.pt_diag2
+        return m
+
+    def trace(self) -> float:
         return float(self.lambda0 + self.lambda_top + self.pt_diag1.sum() + self.pt_diag2.sum())
 
 
@@ -221,10 +236,10 @@ def build_rho_ad(r, trunc: Optional[FockTruncation] = None) -> BipartiteState:
     w = _geometric_weights(r, trunc.n_max)
     n = np.arange(trunc.n_max, dtype=float)
     gam = np.sqrt(n + 1.0) / math.cosh(r)
-    return BipartiteState(r, trunc, Representation.RHO_AD, w, gam)
+    return BipartiteState(r, trunc, w, gam)
 
 
-def partial_transpose(state: BipartiteState) -> BipartiteState:
+def partial_transpose(state: BipartiteState) -> PartialTranspose:
     """Exchange Alice indices; blocks regroup onto {|1,n>, |0,n+1>}.
 
     The |1,n> diagonal w_{n-1} gamma_{n-1}^2 equals the textbook n/sinh^2 r
@@ -233,36 +248,28 @@ def partial_transpose(state: BipartiteState) -> BipartiteState:
     block's is 0, and |1,n_max> stands alone as lambda_top.  Every entry
     equals the index-swapped dense matrix's.
     """
-    if state.representation is not Representation.RHO_AD:
-        raise ValueError("partial_transpose expects the rho_AD representation")
     lifted = state.weights * state.gammas ** 2
     diag1 = np.concatenate(([0.0], lifted[:-1]))
     diag2 = np.concatenate((state.weights[1:], [0.0]))
     coh = state.weights * state.gammas
-    return BipartiteState(
-        state.r, state.trunc, Representation.RHO_AD_PT, state.weights, state.gammas,
-        lambda0=float(state.weights[0]), lambda_top=float(lifted[-1]),
-        pt_diag1=diag1, pt_diag2=diag2, pt_coh=coh,
+    return PartialTranspose(
+        state.r, state.trunc, float(state.weights[0]), float(lifted[-1]), diag1, diag2, coh
     )
 
 
-def reduce_to_dave(state: BipartiteState) -> SingleSystemState:
+def reduce_to_dave(state: BipartiteState) -> np.ndarray:
     """Trace out Alice: weights w_n (1 + n/sinh^2 r) for n = 0..n_max-1, and
     w_{n_max-1} gamma_{n_max-1}^2 on level n_max, which only |1,n_max> reaches.
 
     Evaluated as w_n + w_{n-1} gamma_{n-1}^2, exact through r -> 0, and
     identical to the numerical partial trace of the assembled blocks.
     """
-    if state.representation is not Representation.RHO_AD:
-        raise ValueError("reduce_to_dave expects the rho_AD representation")
     lifted = state.weights * state.gammas ** 2
-    return SingleSystemState(Subsystem.DAVE, np.append(state.weights, 0.0) + np.insert(lifted, 0, 0.0))
+    return np.append(state.weights, 0.0) + np.insert(lifted, 0, 0.0)
 
 
-def reduce_to_alice(state: BipartiteState) -> SingleSystemState:
+def reduce_to_alice(state: BipartiteState) -> np.ndarray:
     """Trace out Dave: diag(1/2, 1/2) up to the truncation tail, for any r."""
-    if state.representation is not Representation.RHO_AD:
-        raise ValueError("reduce_to_alice expects the rho_AD representation")
     w0 = float(state.weights.sum())
     w1 = float((state.weights * state.gammas ** 2).sum())
-    return SingleSystemState(Subsystem.ALICE, np.array([w0, w1]))
+    return np.array([w0, w1])

@@ -1,4 +1,4 @@
-"""30-digit mpmath values of the entanglement measures, for the tests.
+"""mpmath values of the entanglement measures, for the tests.
 
 Run as a script to rewrite the reference table that the fine-grid test
 reads:
@@ -7,6 +7,7 @@ reads:
 """
 
 import functools
+import math
 import os
 
 import mpmath
@@ -22,11 +23,16 @@ def grid_points():
 
 @functools.lru_cache(maxsize=None)
 def mpmath_measures(r):
-    """(neg_log, negativity, s_d, s_ad, mutual_info) at 30 digits, summed
+    """(neg_log, negativity, s_d, s_ad, mutual_info) to 30 digits, summed
     from the eigenvalues of the PT blocks, of the rho_AD blocks and of
     Dave's reduced state: term by term for r <= 2.3, where the summands
-    decay too fast for Euler-Maclaurin, and with mpmath.sumem above."""
-    with mpmath.workdps(30):
+    decay too fast for Euler-Maclaurin, and with mpmath.sumem above.
+
+    1 - tanh^2 r = 1/cosh^2 r cancels ~0.87 r of the working digits
+    (2 r log10 e), so the summands are evaluated at 30 + ceil(0.87 r) digits.
+    """
+    dps = 30 + math.ceil(0.87 * r)
+    with mpmath.workdps(dps):
         r = mpmath.mpf(r)
         c2 = mpmath.cosh(r) ** 2
         s2 = mpmath.sinh(r) ** 2
@@ -51,7 +57,18 @@ def mpmath_measures(r):
                 return mpmath.fsum(f(n) for n in range(n_max))
         else:
             def total(f):
-                return mpmath.sumem(f, [0, mpmath.inf])
+                # the summands vary on the scale cosh^2 r, and sumem's own
+                # integral of them was 5e-12 off at r = 40; it is taken in
+                # x = n/cosh^2 r, relative to f(0), to 30 digits
+                f0 = f(0)
+
+                def scaled(x):
+                    with mpmath.workdps(dps):
+                        return f(c2 * x) / f0
+
+                with mpmath.workdps(30):
+                    integral = mpmath.quad(scaled, [0, mpmath.inf])
+                return mpmath.sumem(f, [0, mpmath.inf], integral=c2 * f0 * integral)
 
         d = total(excess)
         s_d = total(lambda n: h(w(n) * (1 + n / s2)))

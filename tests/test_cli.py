@@ -52,6 +52,32 @@ def test_map_region_battery_via_cli(capsys):
     assert (rec["region"], rec["wedge"]) == ("DBar", "L")
 
 
+# the exact stdout of map in each region, one boundary point included; the
+# values are plain arithmetic, so the bytes depend on neither libm nor NumPy
+MAP_STDOUT = {
+    "0.3,0.2": '{"input": {"frame": "diamond", "point": [0.3, 0.2]}, "output": {"frame": "rindler", '
+               '"point": [1.0909090909090906, 1.9090909090909087]}, "region": "D", "wedge": "R", '
+               '"conformal_factor": 7.272727272727272}\n',
+    "0,2": '{"input": {"frame": "diamond", "point": [0.0, 2.0]}, "output": {"frame": "rindler", '
+           '"point": [0.0, -3.0]}, "region": "DBar", "wedge": "L", "conformal_factor": 4.0}\n',
+    "0.5,-1.2": '{"input": {"frame": "diamond", "point": [0.5, -1.2]}, "output": {"frame": "rindler", '
+                '"point": [0.21786492374727665, -0.04139433551198255]}, "region": "DBarBar-F", '
+                '"wedge": "F", "conformal_factor": 0.8714596949891067}\n',
+    "0.5,1.2": '{"input": {"frame": "diamond", "point": [0.5, 1.2]}, "output": {"frame": "rindler", '
+               '"point": [-4.761904761904762, 0.9047619047619044]}, "region": "DBarBar-P", '
+               '"wedge": "P", "conformal_factor": -19.047619047619047}\n',
+    "0.5,-0.5": '{"input": {"frame": "diamond", "point": [0.5, -0.5]}, "output": {"frame": "rindler", '
+                '"point": [0.5, 0.5]}, "region": "Boundary", "wedge": null, "conformal_factor": 2.0}\n',
+}
+
+
+@pytest.mark.parametrize("point", sorted(MAP_STDOUT))
+def test_map_stdout_is_pinned(capsys, point):
+    code, out, err = run_cli(capsys, "map", "--alpha", "1", "--from", "diamond", "--to", "rindler",
+                             f"--point={point}")
+    assert (code, out, err) == (0, MAP_STDOUT[point], "")
+
+
 def test_modes_subcommand(capsys):
     code, out, _ = run_cli(capsys, "modes", "--alpha", "1", "--family", "diamond-int",
                            "--omega", "1.5", "--point", "0,0")
@@ -69,11 +95,34 @@ def test_bogoliubov_both_deviation(capsys):
     assert rec["deviation"] < 1e-6
 
 
+@pytest.mark.parametrize("args,error", [
+    # sinh(pi omega_hat/2) overflowed into an OverflowError traceback
+    (["--omega-hat", "500", "--k-hat", "1", "--method", "closed"], "DomainCap"),
+    # without a node budget the quadrature allocated gigabytes or ran for
+    # minutes at these points
+    (["--omega-hat", "50", "--k-hat", "1", "--method", "quadrature"], "NonConvergence"),
+    (["--omega-hat", "1", "--k-hat", "1e5", "--method", "quadrature"], "NonConvergence"),
+    (["--omega-hat", "500", "--k-hat", "1", "--method", "quadrature"], "NonConvergence"),
+])
+def test_bogoliubov_out_of_reach_is_numeric_failure(capsys, args, error):
+    code, out, err = run_cli(capsys, "bogoliubov", "--kind", "beta", *args)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == error
+
+
 def test_bogoliubov_ext_closed_is_numeric_failure(capsys):
     code, _, err = run_cli(capsys, "bogoliubov", "--omega-hat", "1", "--k-hat", "1",
                            "--kind", "alpha", "--method", "closed", "--region", "ext")
     assert code == 1
     assert json.loads(err)["error"]["type"] == "UnsupportedRegion"
+
+
+def test_state_blocks_keys_and_representation(capsys):
+    code, out, _ = run_cli(capsys, "state", "--r", "0.5", "--nmax", "2", "--tol", "1")
+    assert code == 0
+    assert '\n  "representation": "rho_AD",\n' in out
+    keys = list(json.loads(out))
+    assert keys == ["r", "omega_hat", "n_max", "tail_bound", "representation", "trace", "blocks"]
 
 
 def test_state_blocks_json(capsys):

@@ -124,9 +124,9 @@ def test_lightcone_map_singular_lines(chart):
 
 @pytest.mark.parametrize("point,region,wedge", REGION_BATTERY)
 def test_region_classification(chart, point, region, wedge):
-    got_region, tag = dq.classify_region(chart, dq.EventCoords.diamond(*point))
+    got_region, got_wedge = dq.classify_region(chart, dq.EventCoords.diamond(*point))
     assert got_region is region
-    assert tag.wedge is wedge
+    assert got_wedge is wedge
 
 
 def test_classification_matches_rindler_sign_table(chart, rng):
@@ -135,16 +135,16 @@ def test_classification_matches_rindler_sign_table(chart, rng):
         V, U = t + x, t - x
         if min(abs(abs(V) - 1), abs(abs(U) - 1)) < 1e-6:
             continue
-        _, tag = dq.classify_region(chart, dq.EventCoords.diamond(t, x))
+        _, wedge = dq.classify_region(chart, dq.EventCoords.diamond(t, x))
         vt, ut = dq.lightcone_map(chart, V, U)
         expect = {(True, False): dq.Wedge.R, (False, True): dq.Wedge.L,
                   (True, True): dq.Wedge.F, (False, False): dq.Wedge.P}[(vt > 0, ut > 0)]
-        assert tag.wedge is expect
+        assert wedge is expect
 
 
 def test_boundary_returns_boundary(chart):
-    region, tag = dq.classify_region(chart, dq.EventCoords.diamond(0.5, 0.5))
-    assert region is dq.Region.BOUNDARY and tag is None
+    region, wedge = dq.classify_region(chart, dq.EventCoords.diamond(0.5, 0.5))
+    assert region is dq.Region.BOUNDARY and wedge is None
 
 
 def test_diamond_coords_center(chart):

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from diamondqi import specfun
 from diamondqi.errors import DomainCap, NonConvergence
 from diamondqi.specfun import (
     KummerParams,
@@ -206,3 +207,24 @@ def test_quadrature_spec_rejects_non_finite_values(lo, hi, rel_tol):
     # rel_tol = inf reached int(ceil(-inf)) and raised a bare OverflowError
     with pytest.raises(ValueError):
         QuadratureSpec(lo, hi, rel_tol=rel_tol)
+
+
+def test_quadrature_stops_at_the_node_budget(monkeypatch):
+    # an unreachable tolerance stops at the budget with its estimate so far,
+    # and a first pass larger than the budget is not started
+    monkeypatch.setattr(specfun, "QUAD_NODE_BUDGET", 5000)
+    seen = [0]
+
+    def f(u):
+        # a step: the trapezoid error falls only like the spacing
+        seen[0] += u.size
+        return np.where(u < 0.3, 1.0 + 0j, 0.0)
+
+    with pytest.raises(NonConvergence) as err:
+        oscillatory_integral(f, QuadratureSpec(0.0, 1.0, 1e-12, max_subdivisions=30))
+    assert 2500 < seen[0] <= 5000
+    assert err.value.best_estimate is not None and err.value.error_bound is not None
+    seen[0] = 0
+    with pytest.raises(NonConvergence) as err:
+        oscillatory_integral(f, QuadratureSpec(0.0, 1.0, oscillation_hint=1e6))
+    assert seen[0] == 0 and err.value.best_estimate is None
