@@ -9,7 +9,10 @@ Normalization note: the closed forms below carry the prefactor alpha/2, the
 value of the defining Fourier transform of the interior mode over its
 theta-function support (-alpha, alpha).  That transform fixes the
 normalization unambiguously; the quadrature route evaluates the same
-transform directly and the two agree to the quadrature tolerance.
+transform without the Kummer function, and the two agree to the quadrature
+tolerance.  It integrates alpha over the support itself and beta along the
+steepest-descent legs U = +/-alpha - i*alpha*y, where e^{-ikU} decays and the
+two legs do not cancel the way the real-line integral does.
 """
 
 import enum
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import DomainCap, OutOfSupport, UnsupportedRegion
 from .geometry import DiamondChart, EventCoords, Frame, convert
-from .specfun import KummerParams, QuadratureSpec, kummer_m, oscillatory_integral
+from .specfun import KummerParams, QuadratureSpec, _nested_trapezoid, kummer_m, oscillatory_integral
 
 
 class Sigma(enum.Enum):
@@ -203,17 +206,24 @@ def bogoliubov_quadrature(
 ) -> complex:
     """Coefficient as the Fourier transform sqrt(4 pi k)/(2 pi) int g e^{+/-ikU} dU.
 
-    Interior: direct quadrature over the support (-alpha, alpha).  Exterior:
-    the support is unbounded and the transform exists as an Abel limit; it is
-    evaluated by rotating each side onto the vertical contour through
-    U = +/-alpha, where e^{+/-ikU} decays and the integrand is smooth.
+    Interior alpha: direct quadrature over the support (-alpha, alpha).  On
+    legs into the upper half-plane, where e^{+ikU} decays, the power factor
+    of g would reach e^{pi w/2}.  Interior beta: e^{-ikU} decays in the lower
+    half-plane, where the power factor is at most 1, so the support closes
+    onto the vertical legs U = +/-alpha - i*alpha*y and the integral is
+    rot*(L(-alpha) - L(+alpha)) with rot = -i.  Both legs are summed in one
+    plain nested trapezoid in p = ln y, which raises NonConvergence where
+    rounding alone misses rel_tol.  Exterior: the support is unbounded and
+    the transform exists as an Abel limit; it is evaluated by rotating each
+    side onto the vertical contour through U = +/-alpha, where e^{+/-ikU}
+    decays and the integrand is smooth.
     """
     _check_bog_args(omega_hat, k_hat, kind)
     sign = 1.0 if kind == "alpha" else -1.0
     pref = chart.alpha / (2.0 * math.pi) * math.sqrt(k_hat / omega_hat)
-    if region is ModeRegion.INT:
+    if region is ModeRegion.INT and kind == "alpha":
         def f(u):
-            return _g_int_phase(u, omega_hat) * np.exp(sign * 1j * k_hat * u)
+            return _g_int_phase(u, omega_hat) * np.exp(1j * k_hat * u)
 
         spec = QuadratureSpec(
             -1.0, 1.0, rel_tol=rel_tol, max_subdivisions=16,
@@ -221,19 +231,51 @@ def bogoliubov_quadrature(
         )
         return pref * oscillatory_integral(f, spec)
 
+    # substitute y = e^p on the vertical legs; p_hi is sized to the decay
+    # e^{-k y}, and p_lo falls with k, as the legs' summed modulus does
+    p_hi = math.log((math.log(1.0 / rel_tol) + omega_hat + 5.0) / k_hat) + 0.5
+    ln_k = math.log(max(1.0, k_hat))
+
+    if region is ModeRegion.INT:
+        # On the legs u = -/+1 - iy the two integrands of beta share the
+        # modulus m = e^{-pi w/4} e^{-(w/2) atan(y/2) - ky} and carry the
+        # conjugate phases e^{-/+i(psi - k)}, psi = -(w/4) ln(1 + 4/y^2), so
+        # rot*(L(-1) - L(+1)) = -2 int m y sin(psi - k) dp.  The sine is
+        # expanded so that k enters only through sin k and cos k.  A term
+        # v is then rounded by a few eps times m y |psi| (psi is known to
+        # eps |psi|), m y |sin k| and |v|; the stop test weighs the sum of
+        # these bounds against rel_tol |value|.  Near y = 0 the terms fall
+        # like y, so the part cut off below y = e^{p_lo}, eps e^{-5}/max(1, k),
+        # stays below eps times the summed bounds.  In the code m carries the
+        # factor y and leaves e^{-pi w/4} to the prefactor.
+        p_lo = math.log(np.finfo(float).eps) - ln_k - 5.0
+        spec = QuadratureSpec(p_lo, p_hi, rel_tol=rel_tol, max_subdivisions=16)
+        cos_k, sin_k = math.cos(k_hat), math.sin(k_hat)
+
+        def legs(p):
+            y = np.exp(p)
+            m = y * np.exp(-0.5 * omega_hat * np.arctan(0.5 * y) - k_hat * y)
+            psi = -0.25 * omega_hat * np.log1p(4.0 / (y * y))
+            v = m * (np.sin(psi) * cos_k - np.cos(psi) * sin_k)
+            return v, m * (np.abs(psi) + abs(sin_k)) + np.abs(v)
+
+        # the integrand is analytic for |Im p| < pi/2, where e^{i psi} grows
+        # by up to e^{pi w/2}: the trapezoid error exp(-pi^2/h) of a first
+        # spacing of this size is already near rel_tol
+        h = math.pi ** 2 / (math.log(1.0 / rel_tol) + 5.0 + 0.5 * math.pi * omega_hat)
+        value, _ = _nested_trapezoid(legs, p_lo, p_hi - p_lo, h, spec, rounding=True)
+        return complex(-2.0 * pref * math.exp(-0.25 * math.pi * omega_hat) * value.real)
+
     rot = sign * 1j
 
     def F(tau):
         return np.exp(0.5j * omega_hat * np.log((tau + 1.0) / (tau - 1.0)) + sign * 1j * k_hat * tau)
 
-    # substitute y = e^p on each vertical leg; limits sized to the decay
-    # e^{-k y} and the bounded modulus factor e^{pi w/4} of the power.  In p
-    # the only phase is (w/2) p; the decay is not oscillation, so the grid
-    # density follows w alone.
-    p_lo = math.log(rel_tol) - 5.0 - 0.4 * omega_hat
-    p_hi = math.log((math.log(1.0 / rel_tol) + omega_hat + 5.0) / k_hat) + 0.5
-    hint = 1.0 + omega_hat
-    spec = QuadratureSpec(p_lo, p_hi, rel_tol=rel_tol, max_subdivisions=16, oscillation_hint=hint)
+    # p_lo is sized to the bounded modulus factor e^{pi w/4} of the power.
+    # In p the only phase is (w/2) p; the decay is not oscillation, so the
+    # grid density follows w alone.
+    p_lo = math.log(rel_tol) - ln_k - 5.0 - 0.4 * omega_hat
+    spec = QuadratureSpec(p_lo, p_hi, rel_tol=rel_tol, max_subdivisions=16, oscillation_hint=1.0 + omega_hat)
 
     def side(b):
         def f(p):
@@ -243,4 +285,3 @@ def bogoliubov_quadrature(
         return oscillatory_integral(f, spec)
 
     return pref * complex(rot * (side(1.0) - side(-1.0)))
-

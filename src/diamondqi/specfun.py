@@ -8,6 +8,13 @@ cancellation of the series (about 0.43*|z| digits for imaginary arguments)
 and raises its internal precision to compensate, so the result is correct to
 double precision; pinning the working precision keeps a caller's global
 ``mp.dps`` from changing it.
+
+The quadrature engine is one nested-halving trapezoid loop,
+``_nested_trapezoid``, which evaluates each pass in chunks of ``QUAD_CHUNK``
+points and stops at ``QUAD_NODE_BUDGET``.  ``oscillatory_integral_with_error``
+runs it on a tanh map of a finite interval; ``modes`` also runs it directly
+on the steepest-descent legs of the interior beta coefficient, where it
+raises once rounding alone misses the tolerance.
 """
 
 import math
@@ -18,11 +25,16 @@ import numpy as np
 from .errors import DomainCap, NonConvergence
 
 Z_CAP = 200.0
-# integrand points one oscillatory integral may evaluate, 2.4 times the
-# 3.5e6 of the largest call in the tests, the selftest and the seeded
-# Bogoliubov benchmark grid: the interior beta coefficient at
-# (omega_hat, k_hat) = (8, 50)
+# integrand points one integral may evaluate.  The largest call in the
+# tests, the selftest and the seeded Bogoliubov benchmark grid takes 38 749:
+# one leg of the exterior beta coefficient at (omega_hat, k_hat) = (8, 0.25)
 QUAD_NODE_BUDGET = 2 ** 23
+# integrand points evaluated at once; a longer pass is summed chunk by
+# chunk, which bounds a call's memory.  The largest pass of those calls,
+# 19 374 points in the same one, fits in one chunk, so their sums keep the
+# order of a single array's
+QUAD_CHUNK = 2 ** 16
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -89,33 +101,43 @@ class QuadratureSpec:
             raise ValueError("require finite rel_tol > 0")
 
 
-def oscillatory_integral_with_error(f, spec: QuadratureSpec):
-    """Adaptive tanh-rule integral of a (vectorized) complex integrand.
+def _pass_sum(g, a, h, n, rounding):
+    """Sums over the nodes a + h*j, j < n, evaluated QUAD_CHUNK at a time:
+    of g, and with ``rounding`` set, of the bound g returns beside it."""
+    total = bound = 0.0
+    for start in range(0, n, QUAD_CHUNK):
+        x = a + h * np.arange(start, min(start + QUAD_CHUNK, n))
+        vals, err = g(x) if rounding else (g(x), None)
+        # the first chunk's sum is taken as it is, so a pass of one chunk
+        # sums exactly as one array does
+        total = vals.sum() if start == 0 else total + vals.sum()
+        if rounding:
+            bound += err.sum()
+    return total, bound
 
-    The interval is mapped through u = m + w*tanh(s), which turns the
-    endpoint phases of unit-modulus type (1 -/+ u)^(+/- i w/2) into plain
-    Fourier factors in s and gives the trapezoid rule geometric convergence.
-    Nested halving supplies the error estimate.  Returns (value, estimate).
-    Raises NonConvergence, with the best estimate so far, before a pass that
-    would take the integrand points evaluated past QUAD_NODE_BUDGET.
+
+def _nested_trapezoid(g, lo, length, h, spec: QuadratureSpec, rounding=False):
+    """Trapezoid sum of g over [lo, lo + length], refined by nested halving.
+
+    g must be negligible at both ends, which therefore carry full weight.
+    ``h`` is the first spacing, rounded down to divide ``length``.  The
+    difference of consecutive passes is the error estimate; two consecutive
+    passes within ``spec.rel_tol`` of |value| end the loop.  Returns (value,
+    estimate).
+
+    With ``rounding`` set, g returns a pair: the integrand and a bound on its
+    rounding in units of eps.  A pass whose summed bound exceeds
+    rel_tol*|value| raises NonConvergence with its estimate, since rounding
+    alone then misses rel_tol.  Raises NonConvergence, with the best estimate
+    so far, before a pass that would take the integrand points evaluated
+    past QUAD_NODE_BUDGET.
     """
-    w = 0.5 * (spec.hi - spec.lo)
-    m = 0.5 * (spec.hi + spec.lo)
-    S = 0.5 * np.log(40.0 / spec.rel_tol) + 2.0
-
-    def g(s):
-        sech2 = 1.0 / np.cosh(s) ** 2
-        return np.asarray(f(m + w * np.tanh(s)), dtype=complex) * (w * sech2)
-
-    nu = max(1.0, abs(spec.oscillation_hint) * max(w, 1.0))
-    h = min(0.5, np.pi / (6.0 * nu))
-    if not 2.0 * S / QUAD_NODE_BUDGET < h:
+    if not length / QUAD_NODE_BUDGET < h:
         raise NonConvergence(f"the first pass alone exceeds the budget of {QUAD_NODE_BUDGET} integrand points")
-    npts = int(np.ceil(2.0 * S / h)) + 1
+    npts = int(np.ceil(length / h)) + 1
     nodes = npts
-    h = 2.0 * S / (npts - 1)
-    s = -S + h * np.arange(npts)
-    total = g(s).sum()
+    h = length / (npts - 1)
+    total, bound = _pass_sum(g, lo, h, npts, rounding)
     value = h * total
     prev = value
     est = np.inf
@@ -124,13 +146,21 @@ def oscillatory_integral_with_error(f, spec: QuadratureSpec):
         nodes += npts - 1
         if nodes > QUAD_NODE_BUDGET:
             break
-        mid = -S + 0.5 * h + h * np.arange(npts - 1)
-        total = total + g(mid).sum()
+        mid_total, mid_bound = _pass_sum(g, lo + 0.5 * h, h, npts - 1, rounding)
+        total = total + mid_total
+        bound += mid_bound
         h *= 0.5
         npts = 2 * npts - 1
         value = h * total
         est = abs(value - prev)
         scale = max(abs(value), 1e-300)
+        floor = _EPS * h * bound
+        if floor > spec.rel_tol * scale:
+            raise NonConvergence(
+                f"rounding of up to {floor:.3g} misses rel_tol at |value| = {abs(value):.3g}",
+                best_estimate=complex(value),
+                error_bound=float(max(est, floor)),
+            )
         if est <= spec.rel_tol * scale:
             good += 1
             if good >= 2:
@@ -143,6 +173,30 @@ def oscillatory_integral_with_error(f, spec: QuadratureSpec):
         best_estimate=complex(value),
         error_bound=float(est),
     )
+
+
+def oscillatory_integral_with_error(f, spec: QuadratureSpec):
+    """Adaptive tanh-rule integral of a (vectorized) complex integrand.
+
+    The interval is mapped through u = m + w*tanh(s), which turns the
+    endpoint phases of unit-modulus type (1 -/+ u)^(+/- i w/2) into plain
+    Fourier factors in s and gives the trapezoid rule geometric convergence.
+    Nested halving (:func:`_nested_trapezoid`) supplies the error estimate.
+    Returns (value, estimate).  Raises NonConvergence, with the best estimate
+    so far, before a pass that would take the integrand points evaluated past
+    QUAD_NODE_BUDGET.
+    """
+    w = 0.5 * (spec.hi - spec.lo)
+    m = 0.5 * (spec.hi + spec.lo)
+    S = 0.5 * np.log(40.0 / spec.rel_tol) + 2.0
+
+    def g(s):
+        sech2 = 1.0 / np.cosh(s) ** 2
+        return np.asarray(f(m + w * np.tanh(s)), dtype=complex) * (w * sech2)
+
+    nu = max(1.0, abs(spec.oscillation_hint) * max(w, 1.0))
+    h = min(0.5, np.pi / (6.0 * nu))
+    return _nested_trapezoid(g, -S, 2.0 * S, h, spec)
 
 
 def oscillatory_integral(f, spec: QuadratureSpec) -> complex:

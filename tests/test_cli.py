@@ -97,17 +97,29 @@ def test_bogoliubov_both_deviation(capsys):
 
 @pytest.mark.parametrize("args,error", [
     # sinh(pi omega_hat/2) overflowed into an OverflowError traceback
-    (["--omega-hat", "500", "--k-hat", "1", "--method", "closed"], "DomainCap"),
-    # without a node budget the quadrature allocated gigabytes or ran for
-    # minutes at these points
-    (["--omega-hat", "50", "--k-hat", "1", "--method", "quadrature"], "NonConvergence"),
-    (["--omega-hat", "1", "--k-hat", "1e5", "--method", "quadrature"], "NonConvergence"),
-    (["--omega-hat", "500", "--k-hat", "1", "--method", "quadrature"], "NonConvergence"),
+    (["--kind", "beta", "--omega-hat", "500", "--k-hat", "1", "--method", "closed"], "DomainCap"),
+    # beta cancels on the legs: |beta| ~ e^{-pi omega_hat/2} against legs
+    # of modulus ~e^{-pi omega_hat/4}, so rounding alone misses rel_tol
+    (["--kind", "beta", "--omega-hat", "50", "--k-hat", "1", "--method", "quadrature"], "NonConvergence"),
+    # alpha on the real line: the first pass nearly fills the node budget
+    (["--kind", "alpha", "--omega-hat", "1", "--k-hat", "1e5", "--method", "quadrature"], "NonConvergence"),
+    (["--kind", "beta", "--omega-hat", "500", "--k-hat", "1", "--method", "quadrature"], "NonConvergence"),
 ])
 def test_bogoliubov_out_of_reach_is_numeric_failure(capsys, args, error):
-    code, out, err = run_cli(capsys, "bogoliubov", "--kind", "beta", *args)
+    code, out, err = run_cli(capsys, "bogoliubov", *args)
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] == error
+
+
+def test_bogoliubov_beta_quadrature_at_large_k(capsys):
+    # the real-line route exhausted its node budget here; on the legs the
+    # e^{-ky} decay takes a few hundred points.  The reference is 30-digit
+    # hyp1f1
+    code, out, _ = run_cli(capsys, "bogoliubov", "--kind", "beta", "--omega-hat", "1", "--k-hat", "1e5",
+                           "--method", "quadrature")
+    assert code == 0
+    want = -1.0673660541564261e-05
+    assert abs(json.loads(out)["quadrature"]["re"] - want) < 1e-10 * abs(want)
 
 
 def test_bogoliubov_ext_closed_is_numeric_failure(capsys):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -203,6 +206,62 @@ def test_exterior_quadrature_matches_positive_frequency_identity(chart):
         b_ext = dq.bogoliubov_quadrature(chart, w, k, "beta", ModeRegion.EXT)
         assert abs(a_ext - want_alpha) < 1e-10 * abs(want_alpha)
         assert abs(b_ext - want_beta) < 1e-10 * abs(want_beta)
+
+
+def _interior_closed_40(chart, w, k, sign):
+    """Interior coefficient from the Kummer closed form at 40 digits:
+    alpha for sign = +1, beta for sign = -1."""
+    with mp.workdps(40):
+        m = mp.hyp1f1(mp.mpc(1, -w / 2), 2, mp.mpc(0, 2 * sign * k))
+        pref = mp.mpf(chart.alpha) / 2 * mp.sqrt(w * k) / mp.sinh(mp.pi * w / 2)
+        return complex(pref * mp.expj(-sign * k) * m)
+
+
+@pytest.mark.parametrize("w,k", [(0.5, 99.0), (0.5, 30.0), (2.0, 50.0)])
+def test_exterior_quadrature_at_large_k(chart, w, k):
+    # the identity of the test above, at k past its draws; the legs' lower
+    # cutoff ignored k, and at (0.5, 99) alpha was 2.6e-10 off and beta 1.5e-10
+    tanh_r = math.exp(-math.pi * w / 2.0)
+    want_alpha = -_interior_closed_40(chart, w, k, -1).conjugate() / tanh_r
+    want_beta = -tanh_r * _interior_closed_40(chart, w, k, 1).conjugate()
+    a_ext = dq.bogoliubov_quadrature(chart, w, k, "alpha", ModeRegion.EXT)
+    b_ext = dq.bogoliubov_quadrature(chart, w, k, "beta", ModeRegion.EXT)
+    assert abs(a_ext - want_alpha) < 1e-10 * abs(want_alpha)
+    assert abs(b_ext - want_beta) < 1e-10 * abs(want_beta)
+
+
+@pytest.mark.parametrize("w,k", [(8.0, 50.0), (8.0, 8.0), (7.0, 19.1), (1.305, 16.28)])
+def test_interior_beta_quadrature_does_not_cancel(chart, w, k):
+    # fault Q: on the real line beta is a near-total cancellation, and these
+    # came out 3.9e-8, 1.2e-8, 5.2e-9 and 3.7e-9 off
+    want = _interior_closed_40(chart, w, k, -1)
+    got = dq.bogoliubov_quadrature(chart, w, k, "beta")
+    assert abs(got - want) < 1e-10 * abs(want)
+
+
+def test_interior_beta_rounding_floor_raises_with_estimate(chart):
+    # |beta| ~ e^{-25 pi} at omega_hat = 50, far below the rounding of the legs
+    with pytest.raises(dq.NonConvergence) as err:
+        dq.bogoliubov_quadrature(chart, 50.0, 1.0, "beta")
+    assert err.value.best_estimate is not None
+    assert err.value.error_bound is not None
+
+
+def test_quadrature_memory_is_bounded():
+    # alpha at (1, 1e5) evaluates a first pass of ~5.9e6 points before it
+    # stops at the node budget; as one array it peaked at 435 MB
+    code = (
+        "import resource\n"
+        "import diamondqi as dq\n"
+        "try:\n"
+        "    dq.bogoliubov_quadrature(dq.DiamondChart(1.0), 1.0, 1e5, 'alpha')\n"
+        "except dq.NonConvergence:\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    assert int(out) < 150 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_bogoliubov_argument_validation(chart):

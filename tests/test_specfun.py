@@ -209,6 +209,25 @@ def test_quadrature_spec_rejects_non_finite_values(lo, hi, rel_tol):
         QuadratureSpec(lo, hi, rel_tol=rel_tol)
 
 
+def test_quadrature_chunks_keep_nodes_and_value(monkeypatch):
+    # a pass longer than QUAD_CHUNK is evaluated chunk by chunk on the same
+    # nodes; only the order of the sum changes
+    k = 40.0
+    spec = QuadratureSpec(0.0, 1.0, 1e-12, oscillation_hint=k)
+    whole = oscillatory_integral(lambda u: np.exp(1j * k * u), spec)
+    seen = []
+
+    def f(u):
+        seen.append(u.size)
+        return np.exp(1j * k * u)
+
+    monkeypatch.setattr(specfun, "QUAD_CHUNK", 7)
+    chunked = oscillatory_integral(f, spec)
+    assert max(seen) == 7 and sum(seen) > 7
+    assert abs(chunked - whole) < 1e-14 * abs(whole)
+    assert abs(chunked - (np.exp(1j * k) - 1.0) / (1j * k)) < 1e-12 * abs(whole)
+
+
 def test_quadrature_stops_at_the_node_budget(monkeypatch):
     # an unreachable tolerance stops at the budget with its estimate so far,
     # and a first pass larger than the budget is not started
