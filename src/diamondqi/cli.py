@@ -48,6 +48,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _rel_tol(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a tolerance in (0, 1)")
+    return value
+
+
 def _nmax(text: str):
     if text == "auto":
         return None
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("alpha", "beta"), required=True)
     p.add_argument("--region", choices=("int", "ext"), default="int")
     p.add_argument("--method", choices=("closed", "quadrature", "both"), default="both")
-    p.add_argument("--rel-tol", type=_finite, default=1e-10)
+    p.add_argument("--rel-tol", type=_rel_tol, default=1e-10)
     p.set_defaults(func=cmd_bogoliubov)
 
     p = sub.add_parser("state", help="dump the Alice-Dave reduced state")

@@ -12,9 +12,11 @@ double precision; pinning the working precision keeps a caller's global
 The quadrature engine is one nested-halving trapezoid loop,
 ``_nested_trapezoid``, which evaluates each pass in chunks of ``QUAD_CHUNK``
 points and stops at ``QUAD_NODE_BUDGET``.  ``oscillatory_integral_with_error``
-runs it on a tanh map of a finite interval; ``modes`` also runs it directly
-on the steepest-descent legs of the interior beta coefficient, where it
-raises once rounding alone misses the tolerance.
+runs it on a tanh map of a finite interval; of the Bogoliubov coefficients
+only interior alpha takes that route.  ``modes`` runs the loop directly, in
+p = ln y, on the steepest-descent legs of interior beta, where it raises
+once rounding alone misses the tolerance, and on each side of the exterior
+contour.
 """
 
 import math
@@ -25,13 +27,13 @@ import numpy as np
 from .errors import DomainCap, NonConvergence
 
 Z_CAP = 200.0
-# integrand points one integral may evaluate.  The largest call in the
-# tests, the selftest and the seeded Bogoliubov benchmark grid takes 38 749:
-# one leg of the exterior beta coefficient at (omega_hat, k_hat) = (8, 0.25)
+# integrand points one integral may evaluate.  The largest call that
+# returns in the tests, the selftest and the seeded Bogoliubov benchmark
+# grid takes 3 913: interior alpha at (omega_hat, k_hat) = (1, 99)
 QUAD_NODE_BUDGET = 2 ** 23
 # integrand points evaluated at once; a longer pass is summed chunk by
 # chunk, which bounds a call's memory.  The largest pass of those calls,
-# 19 374 points in the same one, fits in one chunk, so their sums keep the
+# 1 956 points in the same one, fits in one chunk, so their sums keep the
 # order of a single array's
 QUAD_CHUNK = 2 ** 16
 _EPS = np.finfo(float).eps
@@ -194,8 +196,19 @@ def oscillatory_integral_with_error(f, spec: QuadratureSpec):
         sech2 = 1.0 / np.cosh(s) ** 2
         return np.asarray(f(m + w * np.tanh(s)), dtype=complex) * (w * sech2)
 
+    # In s a phase k*u becomes k*w*tanh(s), and nu bounds how fast g's phase
+    # turns.  g is analytic for |Im s| < pi/2, and on the line Im s = a the
+    # tanh term grows by up to e^{nu tan a}, not e^{nu a}.  A spacing
+    # h = pi/(c nu) puts the first alias at 2c*nu, so the trapezoid error is
+    # about exp(-nu max_a (2c a - tan a)), which falls with nu only for
+    # c > 1/2.  The loop takes at least three passes, so the cheapest start
+    # is the coarsest pass that already meets rel_tol.  c = 1 leaves the
+    # first alias a full nu clear of g's band: its error is e^{-0.57 nu},
+    # under 1e-10 once nu > 40, and each halving doubles c (e^{-2.46 nu} at
+    # c = 2, e^{-7.0 nu} at c = 4).  A start at c = 2 takes about as many
+    # points below nu ~ 40 and twice as many above.
     nu = max(1.0, abs(spec.oscillation_hint) * max(w, 1.0))
-    h = min(0.5, np.pi / (6.0 * nu))
+    h = min(0.5, np.pi / nu)
     return _nested_trapezoid(g, -S, 2.0 * S, h, spec)
 
 

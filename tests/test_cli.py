@@ -290,6 +290,9 @@ def test_usage_error_exit_code():
     ["entanglement", "--r-grid", "0:1:0.5", "--nmax", "0"],
     ["entanglement", "--r-grid", "0:1:0.5", "--nmax", "-3"],
     ["state", "--r", "0.5", "--nmax", "0"],
+    # p_hi took the log of a negative number: a bare ValueError, exit 1
+    ["bogoliubov", "--omega-hat", "0.01", "--k-hat", "2", "--kind", "beta", "--method", "quadrature",
+     "--rel-tol", "1e3"],
 ])
 def test_bad_values_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:

@@ -264,6 +264,41 @@ def test_quadrature_memory_is_bounded():
     assert int(out) < 150 * 1024  # ru_maxrss is in KiB on Linux
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-10, 1.0, 1e3, math.nan])
+@pytest.mark.parametrize("kind,region", [("alpha", ModeRegion.INT), ("beta", ModeRegion.INT),
+                                         ("beta", ModeRegion.EXT)])
+def test_quadrature_rejects_rel_tol_outside_unit_interval(chart, rel_tol, kind, region):
+    # past rel_tol ~ e^{5 + w} the legs' upper cut took the log of a negative
+    # number and raised a bare math domain error
+    with pytest.raises(ValueError, match="rel_tol"):
+        dq.bogoliubov_quadrature(chart, 0.01, 2.0, kind, region, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("w,k,kind,region,most", [
+    # on the tanh map the exterior sides took 15 490 points here
+    (1.0, 0.5, "alpha", ModeRegion.EXT, 1000),
+    (1.0, 0.5, "beta", ModeRegion.EXT, 1000),
+    # at 12 points per wavelength interior alpha took 23 469
+    (1.0, 99.0, "alpha", ModeRegion.INT, 5000),
+])
+def test_quadrature_node_count(chart, monkeypatch, w, k, kind, region, most):
+    # the first spacings are sized to the integrand's strip of analyticity,
+    # so the loop stops after three or four passes: 794 points for the two
+    # exterior sides together and 3 913 for interior alpha at k = 99
+    from diamondqi import specfun
+
+    seen = [0]
+    pass_sum = specfun._pass_sum
+
+    def counted(g, a, h, n, rounding):
+        seen[0] += n
+        return pass_sum(g, a, h, n, rounding)
+
+    monkeypatch.setattr(specfun, "_pass_sum", counted)
+    dq.bogoliubov_quadrature(chart, w, k, kind, region)
+    assert 0 < seen[0] <= most
+
+
 def test_bogoliubov_argument_validation(chart):
     with pytest.raises(ValueError):
         dq.bogoliubov_closed_form(chart, -1.0, 1.0, "alpha")
