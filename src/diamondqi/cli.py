@@ -13,25 +13,12 @@ import math
 import os
 import sys
 
+# only the NumPy-free modules load here; each subcommand imports the rest
 from . import __version__
-from .entanglement import EntanglementReport, figure_grid, sweep
 from .errors import DiamondError
 from .geometry import DiamondChart, EventCoords, Frame, classify_region, conformal_factor, convert
-from .invariants import PERTURBATIONS, run_selftest
-from .modes import (
-    Family,
-    ModeRegion,
-    ModeSpec,
-    Sigma,
-    bogoliubov_closed_form,
-    bogoliubov_quadrature,
-    eval_mode,
-    squeezing_from_frequency,
-)
-from .states import TRUNCATION_CAP, FockTruncation, build_rho_ad
 
 _FRAMES = {"diamond": Frame.DIAMOND, "rindler": Frame.RINDLER, "eta-xi": Frame.ETA_XI}
-_FAMILIES = {f.value: f for f in Family}
 
 
 def _fmt(x) -> str:
@@ -48,6 +35,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return value
+
+
 def _rel_tol(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -58,9 +52,29 @@ def _rel_tol(text: str) -> float:
 def _nmax(text: str):
     if text == "auto":
         return None
+    from .states import TRUNCATION_CAP
+
     if not (text.isdecimal() and 1 <= int(text) <= TRUNCATION_CAP):
         raise argparse.ArgumentTypeError(f"{text!r} is neither 'auto' nor an integer in [1, {TRUNCATION_CAP}]")
     return int(text)
+
+
+def _family(text: str):
+    from .modes import Family
+
+    try:
+        return Family(text)
+    except ValueError:
+        choices = ", ".join(sorted(f.value for f in Family))
+        raise argparse.ArgumentTypeError(f"{text!r} is not a mode family ({choices})") from None
+
+
+def _perturbation(text: str) -> str:
+    from .invariants import PERTURBATIONS
+
+    if text not in PERTURBATIONS:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a perturbation ({', '.join(PERTURBATIONS)})")
+    return text
 
 
 def _point(s: str):
@@ -132,13 +146,15 @@ def cmd_map(args) -> int:
 
 
 def cmd_modes(args) -> int:
+    from .modes import ModeSpec, Sigma, eval_mode
+
     chart = DiamondChart(args.alpha)
-    spec = ModeSpec(Sigma(args.sigma), args.omega, _FAMILIES[args.family], chart)
+    spec = ModeSpec(Sigma(args.sigma), args.omega, args.family, chart)
     t, x = args.point
     p = EventCoords.diamond(t, x)
     value = eval_mode(spec, p, strict=args.strict)
     record = {
-        "family": args.family,
+        "family": args.family.value,
         "sigma": args.sigma,
         "omega": args.omega,
         "alpha": args.alpha,
@@ -152,6 +168,8 @@ def cmd_modes(args) -> int:
 
 
 def cmd_bogoliubov(args) -> int:
+    from .modes import ModeRegion, bogoliubov_closed_form, bogoliubov_quadrature
+
     chart = DiamondChart(args.alpha)
     region = ModeRegion(args.region)
     record = {
@@ -181,12 +199,16 @@ def _resolve_r(args):
         return float(args.r), None
     if args.omega_hat is None:
         raise DiamondError("provide --r or both --alpha and --omega-hat")
+    from .modes import squeezing_from_frequency
+
     chart = DiamondChart(args.alpha)
     sq = squeezing_from_frequency(chart, args.omega_hat / chart.alpha)
     return sq.r, sq.omega_hat
 
 
 def cmd_state(args) -> int:
+    from .states import FockTruncation, build_rho_ad
+
     r, omega_hat = _resolve_r(args)
     if args.nmax is None:
         state = build_rho_ad(r, FockTruncation.auto(r, args.tol))
@@ -216,7 +238,7 @@ def cmd_state(args) -> int:
 _CSV_HEADER = "r,neg_log,negativity,s_a,s_d,s_ad,mutual_info,n_max_used,tail_bound"
 
 
-def _report_row(rep: EntanglementReport) -> str:
+def _report_row(rep) -> str:
     return ",".join(
         [
             _fmt(rep.r),
@@ -233,6 +255,8 @@ def _report_row(rep: EntanglementReport) -> str:
 
 
 def cmd_entanglement(args) -> int:
+    from .entanglement import sweep
+
     scale = 1.0 if args.alpha_mode == "lifetime" else 2.0
     lifetimes = None if args.lifetime_grid is None else [scale * g for g in args.lifetime_grid]
     reports, errors = sweep(args.r_grid, lifetimes, args.omega, n_max=args.nmax, tol=args.tol)
@@ -249,6 +273,8 @@ def cmd_entanglement(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    from .entanglement import figure_grid, sweep
+
     grid = figure_grid()
     reports, errors = sweep(r_values=grid)
     if errors:
@@ -264,6 +290,8 @@ def cmd_figures(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .invariants import run_selftest
+
     return 1 if run_selftest(seed=args.seed, perturb=args.perturb) else 0
 
 
@@ -287,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modes", help="evaluate a field mode at a point")
     p.add_argument("--alpha", type=_finite, required=True)
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+    p.add_argument("--family", type=_family, required=True)
     p.add_argument("--sigma", choices=("plus", "minus"), default="plus")
     p.add_argument("--omega", type=_finite, required=True, help="raw frequency (k for minkowski)")
     p.add_argument("--point", type=_point, required=True, metavar="T,X")
@@ -309,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_finite, default=1.0)
     p.add_argument("--omega-hat", type=_finite, default=None)
     p.add_argument("--nmax", type=_nmax, default="auto")
-    p.add_argument("--tol", type=_finite, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--dump", choices=("blocks", "dense"), default="blocks")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_state)
@@ -321,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-mode", choices=("lifetime", "half-lifetime"), default="lifetime",
                    help="interpret lifetime-grid values as full lifetimes or as alpha")
     p.add_argument("--nmax", type=_nmax, default="auto")
-    p.add_argument("--tol", type=_finite, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_entanglement)
@@ -332,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the embedded invariant suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturb", choices=list(PERTURBATIONS), default=None,
+    p.add_argument("--perturb", type=_perturbation, default=None,
                    help="negative control: scale one closed form by 1.001 so its check fails")
     p.set_defaults(func=cmd_selftest)
 

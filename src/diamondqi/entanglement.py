@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .modes import _squeezing_r
+from .geometry import _squeezing_r
 from .states import (
     FockTruncation,
     PartialTranspose,
@@ -60,7 +59,21 @@ _HEAD = 512
 # wide as twice its distance to the integrand's nearest singularities, near
 # x = -1; past x = 48 the tail is below e^-48
 _TAIL_EDGES = np.array([0.0, 2.0, 8.0, 26.0, 48.0])
-_TAIL_NODES = 16
+# the 16-point Gauss-Legendre rule on [-1, 1], bit for bit that of
+# numpy.polynomial.legendre.leggauss(16), whose import would pull in
+# numpy.polynomial
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
 # phi'''(_HEAD)/720 from a 5-point backward stencil on t = _HEAD - 4.._HEAD
 _D3 = np.array([3.0, -14.0, 24.0, -18.0, 5.0]) / 1440.0
 # the report fields that a truncation moves away from the full series
@@ -69,10 +82,9 @@ _MEASURES = ("neg_log", "negativity", "s_d", "s_ad", "mutual_info")
 
 def _tail_table():
     """Gauss-Legendre nodes and weights on the _TAIL_EDGES panels."""
-    xs, ws = leggauss(_TAIL_NODES)
     mid = 0.5 * (_TAIL_EDGES[:-1] + _TAIL_EDGES[1:])[:, None]
     half = 0.5 * np.diff(_TAIL_EDGES)[:, None]
-    return (mid + half * xs).ravel(), (half * ws).ravel()
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def _head_weights():

@@ -85,6 +85,18 @@ class DiamondChart:
         return 2.0 / (math.pi * self.lifetime)
 
 
+def _squeezing_r(omega_hat: float) -> float:
+    """r = atanh(e^{-x}), x = pi*omega_hat/2 = omega/(2 T) at the chart's
+    temperature T, as (1/2) log1p(2 e^{-x}/(-expm1(-x))).
+
+    The one owner of r(omega_hat), for ``modes`` and ``entanglement`` alike.
+    atanh of the rounded e^{-x} loses ~eps/x relative as x -> 0; this form
+    has no cancellation at any x.
+    """
+    x = math.pi * omega_hat / 2.0
+    return 0.5 * math.log1p(2.0 * math.exp(-x) / -math.expm1(-x))
+
+
 @dataclass(frozen=True)
 class EventCoords:
     """A spacetime point in one of the three frames.

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainCap, OutOfSupport, UnsupportedRegion
-from .geometry import DiamondChart, EventCoords, Frame, convert
+from .geometry import DiamondChart, EventCoords, Frame, _squeezing_r, convert
 from .specfun import KummerParams, QuadratureSpec, _nested_trapezoid, kummer_m, oscillatory_integral
 
 
@@ -76,16 +76,6 @@ class SqueezingParameter:
     def __post_init__(self):
         if not self.r >= 0:
             raise ValueError("r must be nonnegative")
-
-
-def _squeezing_r(omega_hat: float) -> float:
-    """r = atanh(e^{-x}), x = pi*omega_hat/2, as (1/2) log1p(2 e^{-x}/(-expm1(-x))).
-
-    atanh of the rounded e^{-x} loses ~eps/x relative as x -> 0; this form
-    has no cancellation at any x.
-    """
-    x = math.pi * omega_hat / 2.0
-    return 0.5 * math.log1p(2.0 * math.exp(-x) / -math.expm1(-x))
 
 
 def squeezing_from_frequency(chart: DiamondChart, omega: float) -> SqueezingParameter:

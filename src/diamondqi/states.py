@@ -102,6 +102,8 @@ class FockTruncation:
     def auto(cls, r, tol: float = 1e-12) -> "FockTruncation":
         """_blocks_for(r, tol) blocks, capped at TRUNCATION_CAP; the cap may
         leave a larger tail, which the assembly operations then reject."""
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {tol!r}")
         r = _check_r_cap(_as_r(r))
         n = min(_blocks_for(r, tol), TRUNCATION_CAP)
         return cls(n, _trace_tail(r, n), tol)

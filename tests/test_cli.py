@@ -293,6 +293,12 @@ def test_usage_error_exit_code():
     # p_hi took the log of a negative number: a bare ValueError, exit 1
     ["bogoliubov", "--omega-hat", "0.01", "--k-hat", "2", "--kind", "beta", "--method", "quadrature",
      "--rel-tol", "1e3"],
+    # a tol <= 0 failed in math.log: a bare ValueError, exit 1
+    ["state", "--r", "0.5", "--tol", "0"],
+    ["entanglement", "--r-grid", "0:1:0.5", "--tol", "-1"],
+    # the option types that import their owner when the option is given
+    ["modes", "--alpha", "1", "--family", "diamond", "--omega", "1", "--point", "0,0"],
+    ["selftest", "--perturb", "ppt"],
 ])
 def test_bad_values_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import diamondqi as dq
-from diamondqi.entanglement import _HEAD
+from diamondqi.entanglement import _GL_NODES, _GL_WEIGHTS, _HEAD
 from mpmath_reference import grid_points, mpmath_measures, read_grid
 from test_invariants import lookup
 
@@ -285,6 +285,16 @@ def test_reference_grid_is_current():
     for r in (grid_points()[0], grid_points()[200], grid_points()[-1]):
         for value, exact in zip(table[r], mpmath_measures(r)):
             assert abs(value - exact) <= 1e-15 * abs(exact)
+
+
+def test_tail_rule_is_leggauss_bit_for_bit():
+    # the literal rule keeps the Euler-Maclaurin tail, and so every report
+    # and figure, bit-identical to the one leggauss built at import
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_series_cost_is_bounded_by_the_head():

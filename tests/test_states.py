@@ -65,6 +65,13 @@ def test_auto_is_the_smallest_block_count_that_meets_tol(rng):
             assert n == 2 or _trace_tail(r, n - 1) > tol
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_auto_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # 0 and -1 failed in math.log, nan in int(), and inf overflowed
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        dq.FockTruncation.auto(0.5, tol)
+
+
 def test_fixed_truncation_never_raises():
     st = dq.build_rho_ad(4.0, dq.FockTruncation.fixed(80, 4.0))
     assert st.n_max == 80
