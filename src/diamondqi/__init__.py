@@ -62,14 +62,13 @@ _EXPORTS = {
         "ModeRegion",
         "ModeSpec",
         "Sigma",
-        "SqueezingParameter",
         "bogoliubov_closed_form",
         "bogoliubov_quadrature",
         "eval_mode",
         "squeezing_from_frequency",
         "thermal_occupation",
     ),
-    "specfun": ("KummerParams", "QuadratureSpec", "kummer_m", "oscillatory_integral"),
+    "specfun": ("KummerParams", "kummer_m"),
     "states": (
         "BipartiteState",
         "FockTruncation",

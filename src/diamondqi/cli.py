@@ -202,8 +202,8 @@ def _resolve_r(args):
     from .modes import squeezing_from_frequency
 
     chart = DiamondChart(args.alpha)
-    sq = squeezing_from_frequency(chart, args.omega_hat / chart.alpha)
-    return sq.r, sq.omega_hat
+    omega = args.omega_hat / chart.alpha
+    return squeezing_from_frequency(chart, omega), omega * chart.alpha
 
 
 def cmd_state(args) -> int:
@@ -305,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("map", help="convert a point between coordinate frames")
-    p.add_argument("--alpha", type=_finite, required=True)
-    p.add_argument("--lambda", dest="lam", type=_finite, default=2.0)
+    p.add_argument("--alpha", type=_positive, required=True)
+    p.add_argument("--lambda", dest="lam", type=_positive, default=2.0)
     p.add_argument("--from", choices=sorted(_FRAMES), required=True)
     p.add_argument("--to", choices=sorted(_FRAMES), required=True)
     p.add_argument("--point", type=_point, required=True, metavar="T,X")
@@ -314,18 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("modes", help="evaluate a field mode at a point")
-    p.add_argument("--alpha", type=_finite, required=True)
+    p.add_argument("--alpha", type=_positive, required=True)
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--sigma", choices=("plus", "minus"), default="plus")
-    p.add_argument("--omega", type=_finite, required=True, help="raw frequency (k for minkowski)")
+    p.add_argument("--omega", type=_positive, required=True, help="raw frequency (k for minkowski)")
     p.add_argument("--point", type=_point, required=True, metavar="T,X")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("bogoliubov", help="Bogoliubov coefficients, closed form and/or quadrature")
-    p.add_argument("--alpha", type=_finite, default=1.0)
-    p.add_argument("--omega-hat", type=_finite, required=True)
-    p.add_argument("--k-hat", type=_finite, required=True)
+    p.add_argument("--alpha", type=_positive, default=1.0)
+    p.add_argument("--omega-hat", type=_positive, required=True)
+    p.add_argument("--k-hat", type=_positive, required=True)
     p.add_argument("--kind", choices=("alpha", "beta"), required=True)
     p.add_argument("--region", choices=("int", "ext"), default="int")
     p.add_argument("--method", choices=("closed", "quadrature", "both"), default="both")
@@ -334,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state", help="dump the Alice-Dave reduced state")
     p.add_argument("--r", type=_finite, default=None)
-    p.add_argument("--alpha", type=_finite, default=1.0)
-    p.add_argument("--omega-hat", type=_finite, default=None)
+    p.add_argument("--alpha", type=_positive, default=1.0)
+    p.add_argument("--omega-hat", type=_positive, default=None)
     p.add_argument("--nmax", type=_nmax, default="auto")
     p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--dump", choices=("blocks", "dense"), default="blocks")
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entanglement", help="entanglement measures over a grid")
     p.add_argument("--r-grid", type=_grid, default=None, metavar="LO:HI:STEP")
     p.add_argument("--lifetime-grid", type=_grid, default=None, metavar="LO:HI:STEP")
-    p.add_argument("--omega", type=_finite, default=None)
+    p.add_argument("--omega", type=_positive, default=None)
     p.add_argument("--alpha-mode", choices=("lifetime", "half-lifetime"), default="lifetime",
                    help="interpret lifetime-grid values as full lifetimes or as alpha")
     p.add_argument("--nmax", type=_nmax, default="auto")

@@ -10,24 +10,26 @@ value of the defining Fourier transform of the interior mode over its
 theta-function support (-alpha, alpha).  That transform fixes the
 normalization unambiguously; the quadrature route evaluates the same
 transform without the Kummer function, and the two agree to the quadrature
-tolerance.  It integrates interior alpha over the support itself, on the
-tanh map of ``specfun``.  Interior beta runs along the steepest-descent legs
-U = +/-alpha - i*alpha*y, where e^{-ikU} decays and the two legs do not
-cancel the way the real-line integral does, and each exterior side along the
-vertical contour through U = +/-alpha; both run the plain trapezoid in
-p = ln y.
+tolerance.  Every route runs the one trapezoid loop of ``specfun`` on its
+integrand in its own variable.  Interior alpha is integrated over the
+support itself, in s = atanh(U/alpha), where the mode's phase is e^{-iws}.
+Interior beta runs along the steepest-descent legs U = +/-alpha - i*alpha*y,
+where e^{-ikU} decays and the two legs do not cancel the way the real-line
+integral does, and each exterior side along the vertical contour through
+U = +/-alpha; both run in p = ln y.
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainCap, OutOfSupport, UnsupportedRegion
 from .geometry import DiamondChart, EventCoords, Frame, _squeezing_r, convert
-from .specfun import KummerParams, QuadratureSpec, _nested_trapezoid, kummer_m, oscillatory_integral
+from .specfun import KummerParams, _nested_trapezoid, kummer_m
+
+_LN4 = math.log(4.0)
 
 
 class Sigma(enum.Enum):
@@ -66,24 +68,11 @@ class ModeSpec:
         return self.freq * self.chart.alpha
 
 
-@dataclass(frozen=True)
-class SqueezingParameter:
-    """Interior/exterior mixing strength r; optionally tied to omega_hat."""
-
-    r: float
-    omega_hat: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.r >= 0:
-            raise ValueError("r must be nonnegative")
-
-
-def squeezing_from_frequency(chart: DiamondChart, omega: float) -> SqueezingParameter:
+def squeezing_from_frequency(chart: DiamondChart, omega: float) -> float:
     """r = atanh(exp(-pi*omega*alpha/2)); decreasing in omega and alpha."""
     if not omega > 0:
         raise ValueError("omega must be positive")
-    omega_hat = omega * chart.alpha
-    return SqueezingParameter(_squeezing_r(omega_hat), omega_hat)
+    return _squeezing_r(omega * chart.alpha)
 
 
 def thermal_occupation(chart: DiamondChart, omega: float) -> float:
@@ -145,7 +134,7 @@ def eval_mode(m: ModeSpec, p: EventCoords, strict: bool = False) -> complex:
     if m.family is Family.DIAMOND_G_EXT:
         return g_ext()
 
-    r = squeezing_from_frequency(m.chart, m.freq).r
+    r = squeezing_from_frequency(m.chart, m.freq)
     if m.family is Family.UNRUH_H_INT:
         return math.cosh(r) * g_int() + math.sinh(r) * g_ext().conjugate()
     return math.cosh(r) * g_ext() + math.sinh(r) * g_int().conjugate()
@@ -199,7 +188,10 @@ def bogoliubov_quadrature(
 ) -> complex:
     """Coefficient as the Fourier transform sqrt(4 pi k)/(2 pi) int g e^{+/-ikU} dU.
 
-    Interior alpha: direct quadrature over the support (-alpha, alpha).  On
+    Interior alpha: direct quadrature over the support (-alpha, alpha), in
+    s = atanh(U/alpha), cut where the tails left out are below a tenth of
+    rel_tol*|value|; it raises NonConvergence where rounding alone misses
+    rel_tol, and otherwise meets it.  On
     legs into the upper half-plane, where e^{+ikU} decays, the power factor
     of g would reach e^{pi w/2}.  Interior beta: e^{-ikU} decays in the lower
     half-plane, where the power factor is at most 1, so the support closes
@@ -222,14 +214,32 @@ def bogoliubov_quadrature(
     sign = 1.0 if kind == "alpha" else -1.0
     pref = chart.alpha / (2.0 * math.pi) * math.sqrt(k_hat / omega_hat)
     if region is ModeRegion.INT and kind == "alpha":
-        def f(u):
-            return _g_int_phase(u, omega_hat) * np.exp(1j * k_hat * u)
+        # u = tanh s turns the power ((1+u)/(1-u))^(-iw/2) into e^{-iws}, so
+        # the integrand is e^{i theta} sech^2 s with theta = k tanh s - w s,
+        # and its phase is exact at every s.  Written as 4e/(1+e)^2 with
+        # e = e^{-2|s|}, sech^2 s is exact to a few eps at any s; a node is
+        # rounded by at most sech^2 s (|theta| + 4) eps, and the part beyond
+        # +/-S is at most 4e^{-2S}.  In s the integrand is analytic for
+        # |Im s| < pi/2, where the tanh term grows by up to e^{nu tan a} on
+        # the line Im s = a, nu = w + k.  A first spacing h = pi/nu puts the first
+        # alias a full nu clear of that band: its error is about e^{-0.57 nu},
+        # and each halving doubles the margin
+        S = 0.5 * math.log(40.0 / rel_tol) + 2.0
+        h = min(0.5, math.pi / max(1.0, omega_hat + k_hat))
 
-        spec = QuadratureSpec(
-            -1.0, 1.0, rel_tol=rel_tol, max_subdivisions=16,
-            oscillation_hint=omega_hat + k_hat,
-        )
-        return pref * oscillatory_integral(f, spec)
+        def f(s):
+            e = np.exp(-2.0 * np.abs(s))
+            sech2 = 4.0 * e / (1.0 + e) ** 2
+            theta = k_hat * np.tanh(s) - omega_hat * s
+            return np.exp(1j * theta) * sech2, sech2 * (np.abs(theta) + 4.0)
+
+        # a value that the rounding check lets through is at least
+        # 8 eps/rel_tol, so S grows by a few steps at most
+        while True:
+            value, _ = _nested_trapezoid(f, -S, S, h, rel_tol, rounding=True)
+            if 4.0 * math.exp(-2.0 * S) <= 0.1 * rel_tol * abs(value):
+                return pref * value
+            S += 2.0
 
     # substitute y = e^p on the vertical legs; p_hi is sized to the decay
     # e^{-k y}, and p_lo falls with k, as the legs' summed modulus does
@@ -255,23 +265,21 @@ def bogoliubov_quadrature(
         # stays below eps times the summed bounds.  In the code m carries the
         # factor y and leaves e^{-pi w/4} to the prefactor.
         p_lo = math.log(np.finfo(float).eps) - ln_k - 5.0
-        spec = QuadratureSpec(p_lo, p_hi, rel_tol=rel_tol, max_subdivisions=16)
         cos_k, sin_k = math.cos(k_hat), math.sin(k_hat)
 
         def legs(p):
             y = np.exp(p)
             m = y * np.exp(-0.5 * omega_hat * np.arctan(0.5 * y) - k_hat * y)
-            psi = -0.25 * omega_hat * np.log1p(4.0 / (y * y))
+            psi = -0.25 * omega_hat * np.logaddexp(0.0, _LN4 - 2.0 * p)
             v = m * (np.sin(psi) * cos_k - np.cos(psi) * sin_k)
             return v, m * (np.abs(psi) + abs(sin_k)) + np.abs(v)
 
-        value, _ = _nested_trapezoid(legs, p_lo, p_hi - p_lo, h, spec, rounding=True)
+        value, _ = _nested_trapezoid(legs, p_lo, p_hi, h, rel_tol, rounding=True)
         return complex(-2.0 * pref * math.exp(-0.25 * math.pi * omega_hat) * value.real)
 
     rot = sign * 1j
     # p_lo is sized to the bounded modulus factor e^{pi w/4} of the power
     p_lo = math.log(rel_tol) - ln_k - 5.0 - 0.4 * omega_hat
-    spec = QuadratureSpec(p_lo, p_hi, rel_tol=rel_tol, max_subdivisions=16)
 
     def side(b):
         # on the side through U = b*alpha, e^{+/-ikU} = e^{+/-ikb} e^{-ky}.
@@ -283,6 +291,6 @@ def bogoliubov_quadrature(
             return np.exp(0.5j * omega_hat * np.log((tau + 1.0) / (tau - 1.0)) - k_hat * y) * y
 
         phase = complex(math.cos(k_hat * b), sign * math.sin(k_hat * b))
-        return phase * _nested_trapezoid(f, p_lo, p_hi - p_lo, h, spec)[0]
+        return phase * _nested_trapezoid(f, p_lo, p_hi, h, rel_tol)[0]
 
     return pref * complex(rot * (side(1.0) - side(-1.0)))

@@ -1,4 +1,4 @@
-"""Confluent hypergeometric M(a, b, z) and an oscillatory-quadrature engine.
+"""Confluent hypergeometric M(a, b, z) and the one quadrature loop.
 
 Only the parameter regime needed downstream is targeted: complex ``a``,
 real ``b`` (= 2 in practice), and purely imaginary ``z`` up to the magnitude
@@ -9,14 +9,14 @@ and raises its internal precision to compensate, so the result is correct to
 double precision; pinning the working precision keeps a caller's global
 ``mp.dps`` from changing it.
 
-The quadrature engine is one nested-halving trapezoid loop,
-``_nested_trapezoid``, which evaluates each pass in chunks of ``QUAD_CHUNK``
-points and stops at ``QUAD_NODE_BUDGET``.  ``oscillatory_integral_with_error``
-runs it on a tanh map of a finite interval; of the Bogoliubov coefficients
-only interior alpha takes that route.  ``modes`` runs the loop directly, in
-p = ln y, on the steepest-descent legs of interior beta, where it raises
-once rounding alone misses the tolerance, and on each side of the exterior
-contour.
+Every quadrature is one nested-halving trapezoid loop, ``_nested_trapezoid``,
+which evaluates each pass in chunks of ``QUAD_CHUNK`` points, raises once a
+pass sum is not finite, and stops at ``QUAD_NODE_BUDGET``.  ``modes`` runs
+it on each Bogoliubov integrand in that integrand's own variable: interior
+alpha in s = atanh u, the steepest-descent legs of interior beta and each
+side of the exterior contour in p = ln y.  Interior alpha and beta pass a
+per-node rounding bound, so the loop raises once rounding alone misses the
+tolerance.
 """
 
 import math
@@ -78,30 +78,8 @@ def kummer_m(params: KummerParams) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# oscillatory quadrature
+# quadrature
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Interval and tolerances for the oscillatory-integral engine.
-
-    ``oscillation_hint`` is the dominant frequency of the integrand in its
-    own variable; it only sets the initial node density, the refinement loop
-    corrects underestimates.
-    """
-
-    lo: float
-    hi: float
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 12
-    oscillation_hint: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError("require finite lo < hi")
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise ValueError("require finite rel_tol > 0")
-
 
 def _pass_sum(g, a, h, n, rounding):
     """Sums over the nodes a + h*j, j < n, evaluated QUAD_CHUNK at a time:
@@ -115,25 +93,33 @@ def _pass_sum(g, a, h, n, rounding):
         total = vals.sum() if start == 0 else total + vals.sum()
         if rounding:
             bound += err.sum()
+    if not (np.isfinite(total) and np.isfinite(bound)):
+        raise NonConvergence(f"the integrand is not finite on [{a:.6g}, {a + h * (n - 1):.6g}]")
     return total, bound
 
 
-def _nested_trapezoid(g, lo, length, h, spec: QuadratureSpec, rounding=False):
-    """Trapezoid sum of g over [lo, lo + length], refined by nested halving.
+def _nested_trapezoid(g, lo, hi, h, rel_tol, rounding=False):
+    """Trapezoid sum of g over [lo, hi], refined by nested halving.
 
     g must be negligible at both ends, which therefore carry full weight.
-    ``h`` is the first spacing, rounded down to divide ``length``.  The
+    ``h`` is the first spacing, rounded down to divide hi - lo.  The
     difference of consecutive passes is the error estimate; two consecutive
-    passes within ``spec.rel_tol`` of |value| end the loop.  Returns (value,
-    estimate).
+    passes within rel_tol of |value| end the loop.  Returns (value,
+    estimate).  Raises ValueError unless lo < hi are finite and
+    0 < rel_tol < 1.
 
     With ``rounding`` set, g returns a pair: the integrand and a bound on its
     rounding in units of eps.  A pass whose summed bound exceeds
     rel_tol*|value| raises NonConvergence with its estimate, since rounding
-    alone then misses rel_tol.  Raises NonConvergence, with the best estimate
-    so far, before a pass that would take the integrand points evaluated
-    past QUAD_NODE_BUDGET.
+    alone then misses rel_tol.  Raises NonConvergence at once on a pass whose
+    sum is not finite, and, with the best estimate so far, before a pass that
+    would take the integrand points evaluated past QUAD_NODE_BUDGET.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("require finite lo < hi")
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError("rel_tol must lie in (0, 1)")
+    length = hi - lo
     if not length / QUAD_NODE_BUDGET < h:
         raise NonConvergence(f"the first pass alone exceeds the budget of {QUAD_NODE_BUDGET} integrand points")
     npts = int(np.ceil(length / h)) + 1
@@ -144,10 +130,8 @@ def _nested_trapezoid(g, lo, length, h, spec: QuadratureSpec, rounding=False):
     prev = value
     est = np.inf
     good = 0
-    for _ in range(spec.max_subdivisions):
+    while nodes + npts - 1 <= QUAD_NODE_BUDGET:
         nodes += npts - 1
-        if nodes > QUAD_NODE_BUDGET:
-            break
         mid_total, mid_bound = _pass_sum(g, lo + 0.5 * h, h, npts - 1, rounding)
         total = total + mid_total
         bound += mid_bound
@@ -157,13 +141,13 @@ def _nested_trapezoid(g, lo, length, h, spec: QuadratureSpec, rounding=False):
         est = abs(value - prev)
         scale = max(abs(value), 1e-300)
         floor = _EPS * h * bound
-        if floor > spec.rel_tol * scale:
+        if floor > rel_tol * scale:
             raise NonConvergence(
                 f"rounding of up to {floor:.3g} misses rel_tol at |value| = {abs(value):.3g}",
                 best_estimate=complex(value),
                 error_bound=float(max(est, floor)),
             )
-        if est <= spec.rel_tol * scale:
+        if est <= rel_tol * scale:
             good += 1
             if good >= 2:
                 return complex(value), float(est)
@@ -171,48 +155,7 @@ def _nested_trapezoid(g, lo, length, h, spec: QuadratureSpec, rounding=False):
             good = 0
         prev = value
     raise NonConvergence(
-        "oscillatory integral failed to reach rel_tol within the subdivision and node budgets",
+        f"the trapezoid sum failed to reach rel_tol within {QUAD_NODE_BUDGET} integrand points",
         best_estimate=complex(value),
         error_bound=float(est),
     )
-
-
-def oscillatory_integral_with_error(f, spec: QuadratureSpec):
-    """Adaptive tanh-rule integral of a (vectorized) complex integrand.
-
-    The interval is mapped through u = m + w*tanh(s), which turns the
-    endpoint phases of unit-modulus type (1 -/+ u)^(+/- i w/2) into plain
-    Fourier factors in s and gives the trapezoid rule geometric convergence.
-    Nested halving (:func:`_nested_trapezoid`) supplies the error estimate.
-    Returns (value, estimate).  Raises NonConvergence, with the best estimate
-    so far, before a pass that would take the integrand points evaluated past
-    QUAD_NODE_BUDGET.
-    """
-    w = 0.5 * (spec.hi - spec.lo)
-    m = 0.5 * (spec.hi + spec.lo)
-    S = 0.5 * np.log(40.0 / spec.rel_tol) + 2.0
-
-    def g(s):
-        sech2 = 1.0 / np.cosh(s) ** 2
-        return np.asarray(f(m + w * np.tanh(s)), dtype=complex) * (w * sech2)
-
-    # In s a phase k*u becomes k*w*tanh(s), and nu bounds how fast g's phase
-    # turns.  g is analytic for |Im s| < pi/2, and on the line Im s = a the
-    # tanh term grows by up to e^{nu tan a}, not e^{nu a}.  A spacing
-    # h = pi/(c nu) puts the first alias at 2c*nu, so the trapezoid error is
-    # about exp(-nu max_a (2c a - tan a)), which falls with nu only for
-    # c > 1/2.  The loop takes at least three passes, so the cheapest start
-    # is the coarsest pass that already meets rel_tol.  c = 1 leaves the
-    # first alias a full nu clear of g's band: its error is e^{-0.57 nu},
-    # under 1e-10 once nu > 40, and each halving doubles c (e^{-2.46 nu} at
-    # c = 2, e^{-7.0 nu} at c = 4).  A start at c = 2 takes about as many
-    # points below nu ~ 40 and twice as many above.
-    nu = max(1.0, abs(spec.oscillation_hint) * max(w, 1.0))
-    h = min(0.5, np.pi / nu)
-    return _nested_trapezoid(g, -S, 2.0 * S, h, spec)
-
-
-def oscillatory_integral(f, spec: QuadratureSpec) -> complex:
-    """Value-only wrapper around :func:`oscillatory_integral_with_error`."""
-    value, _ = oscillatory_integral_with_error(f, spec)
-    return value

@@ -299,6 +299,14 @@ def test_usage_error_exit_code():
     # the option types that import their owner when the option is given
     ["modes", "--alpha", "1", "--family", "diamond", "--omega", "1", "--point", "0,0"],
     ["selftest", "--perturb", "ppt"],
+    # a non-positive physical input exited 1 with a ValueError record
+    ["map", "--alpha", "0", "--from", "diamond", "--to", "rindler", "--point", "0,0"],
+    ["map", "--alpha", "1", "--lambda", "-2", "--from", "diamond", "--to", "rindler", "--point", "0,0"],
+    ["modes", "--alpha", "1", "--family", "diamond-int", "--omega", "0", "--point", "0,0"],
+    ["bogoliubov", "--omega-hat", "-1", "--k-hat", "1", "--kind", "alpha"],
+    ["bogoliubov", "--omega-hat", "1", "--k-hat", "0", "--kind", "alpha"],
+    ["state", "--alpha", "1", "--omega-hat", "0"],
+    ["entanglement", "--lifetime-grid", "1:2:1", "--omega", "-1"],
 ])
 def test_bad_values_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:

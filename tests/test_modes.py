@@ -69,7 +69,7 @@ def test_sigma_minus_uses_retarded_argument(chart):
 
 def test_unruh_modes_are_weighted_continuations(chart):
     omega = 1.5
-    r = dq.squeezing_from_frequency(chart, omega).r
+    r = dq.squeezing_from_frequency(chart, omega)
     gi = dq.ModeSpec(dq.Sigma.PLUS, omega, dq.Family.DIAMOND_G_INT, chart)
     ge = dq.ModeSpec(dq.Sigma.PLUS, omega, dq.Family.DIAMOND_G_EXT, chart)
     hi = dq.ModeSpec(dq.Sigma.PLUS, omega, dq.Family.UNRUH_H_INT, chart)
@@ -84,7 +84,7 @@ def test_unruh_modes_are_weighted_continuations(chart):
 
 def test_unruh_weights_normalization(chart):
     for omega in (0.2, 1.0, 5.0):
-        r = dq.squeezing_from_frequency(chart, omega).r
+        r = dq.squeezing_from_frequency(chart, omega)
         assert abs(math.cosh(r) ** 2 - math.sinh(r) ** 2 - 1.0) < 1e-12
 
 
@@ -94,8 +94,8 @@ def test_unruh_weights_normalization(chart):
 
 def test_squeezing_special_value(chart):
     omega = (2.0 / math.pi) * math.log(2.0)  # e^{-pi w/2} = 1/2
-    sq = dq.squeezing_from_frequency(chart, omega)
-    assert abs(sq.r - math.atanh(0.5)) < 1e-15
+    r = dq.squeezing_from_frequency(chart, omega)
+    assert abs(r - math.atanh(0.5)) < 1e-15
 
 
 @pytest.mark.parametrize("omega_hat", [1e-12, 1e-8, 1e-4, 1.0, 20.0])
@@ -105,13 +105,13 @@ def test_squeezing_matches_mpmath(omega_hat):
     # x = pi omega_hat/2, since r inherits x's own rounding x-fold as x grows
     with mp.workdps(40):
         exact = mp.atanh(mp.exp(-mp.mpf(math.pi * omega_hat / 2.0)))
-    for r in (dq.squeezing_from_frequency(dq.DiamondChart(1.0), omega_hat).r,
+    for r in (dq.squeezing_from_frequency(dq.DiamondChart(1.0), omega_hat),
               dq.r_from_lifetime(2.0, omega_hat)):
         assert abs(r - exact) <= 1e-15 * exact
 
 
 def test_squeezing_decreasing_and_vanishing(chart):
-    rs = [dq.squeezing_from_frequency(chart, w).r for w in (0.1, 0.5, 1, 5, 20, 200)]
+    rs = [dq.squeezing_from_frequency(chart, w) for w in (0.1, 0.5, 1, 5, 20, 200)]
     assert all(b < a for a, b in zip(rs, rs[1:]))
     assert rs[-1] < 1e-130
 
@@ -122,7 +122,7 @@ test_boltzmann_identity = lookup("thermality")
 def test_thermal_occupation_identities(chart):
     for wh in (0.1, 0.7, 3.0, 20.0):
         n = dq.thermal_occupation(chart, wh)
-        r = dq.squeezing_from_frequency(chart, wh).r
+        r = dq.squeezing_from_frequency(chart, wh)
         assert abs(n - math.sinh(r) ** 2) <= 1e-12 * max(n, 1e-300)
         boltz = math.exp(-math.pi * wh)
         assert abs(n / (1.0 + n) - boltz) <= 1e-14 * boltz
@@ -247,9 +247,46 @@ def test_interior_beta_rounding_floor_raises_with_estimate(chart):
     assert err.value.error_bound is not None
 
 
+# fault Q's interior alpha points and three more of the design domain; the
+# first three came out 2.0e-9, 5.8e-10 and 2.5e-10 off on the tanh map
+ALPHA_FIXED_POINTS = [(0.0101, 59.72), (0.0248, 62.89), (0.985, 24.14), (1.0, 99.0), (8.0, 1.0), (8.0, 50.0)]
+
+
+def test_interior_alpha_quadrature_raises_or_meets_rel_tol(chart):
+    # over the design domain, omega_hat log-uniform on [0.01, 8] and k_hat
+    # uniform on [0.05, 99]: each call returns within rel_tol of the 40-digit
+    # closed form or raises NonConvergence, and at most 1 % raise.  (0.0101,
+    # 59.72) raises: its integral is ~1e-4 against int |f| = 2
+    rng = np.random.default_rng(2718)
+    points = ALPHA_FIXED_POINTS + [
+        (math.exp(rng.uniform(math.log(0.01), math.log(8.0))), rng.uniform(0.05, 99.0)) for _ in range(100)
+    ]
+    raised = []
+    for w, k in points:
+        want = _interior_closed_40(chart, w, k, 1)
+        try:
+            got = dq.bogoliubov_quadrature(chart, w, k, "alpha")
+        except dq.NonConvergence:
+            raised.append((w, k))
+            continue
+        assert abs(got - want) < 1e-10 * abs(want), (w, k)
+    assert len(raised) <= 0.01 * len(points), raised
+
+
+@pytest.mark.parametrize("k", [1e5, 1e20, 1e100, 1e150, 1e200, 1e300])
+@pytest.mark.parametrize("w", [1.0, 8.0])
+def test_interior_beta_quadrature_at_huge_k(chart, w, k):
+    # the legs' phase took log1p(4/y^2), and y*y underflowed past k ~ 1e150:
+    # 16 passes of nan, a flood of RuntimeWarnings and NonConvergence
+    want = _interior_closed_40(chart, w, k, -1)
+    got = dq.bogoliubov_quadrature(chart, w, k, "beta")
+    assert abs(got - want) < 1e-10 * abs(want)
+
+
 def test_quadrature_memory_is_bounded():
-    # alpha at (1, 1e5) evaluates a first pass of ~5.9e6 points before it
-    # stops at the node budget; as one array it peaked at 435 MB
+    # alpha at (1, 1e5) evaluates two passes of ~9.8e5 points each before
+    # its rounding check raises; at ~5.9e6 points a pass as one array
+    # peaked at 435 MB
     code = (
         "import resource\n"
         "import diamondqi as dq\n"

@@ -27,10 +27,10 @@ PUBLIC_NAMES = {
         "eta_xi_to_rindler", "lightcone_map", "rindler_to_diamond", "rindler_to_eta_xi",
     ),
     "modes": (
-        "Family", "ModeRegion", "ModeSpec", "Sigma", "SqueezingParameter", "bogoliubov_closed_form",
+        "Family", "ModeRegion", "ModeSpec", "Sigma", "bogoliubov_closed_form",
         "bogoliubov_quadrature", "eval_mode", "squeezing_from_frequency", "thermal_occupation",
     ),
-    "specfun": ("KummerParams", "QuadratureSpec", "kummer_m", "oscillatory_integral"),
+    "specfun": ("KummerParams", "kummer_m"),
     "states": (
         "BipartiteState", "FockTruncation", "PartialTranspose", "build_rho_ad", "partial_transpose",
         "reduce_to_alice", "reduce_to_dave", "unruh_one_particle_coefficients",

@@ -9,13 +9,7 @@ import pytest
 
 from diamondqi import specfun
 from diamondqi.errors import DomainCap, NonConvergence
-from diamondqi.specfun import (
-    KummerParams,
-    QuadratureSpec,
-    kummer_m,
-    oscillatory_integral,
-    oscillatory_integral_with_error,
-)
+from diamondqi.specfun import KummerParams, _nested_trapezoid, kummer_m
 from test_invariants import lookup
 
 
@@ -157,11 +151,23 @@ test_quadrature_plane_wave_closed_form = lookup("quadrature-closed-forms")
 test_quadrature_zero_integrand = lookup("quadrature-closed-forms")
 
 
+def sech2_wave(w):
+    """e^{i w s} sech^2 s, whose integral over the real line is
+    pi w/sinh(pi w/2); past |s| = 18 it is below 1e-15."""
+    return lambda s: np.exp(1j * w * s) / np.cosh(s) ** 2
+
+
+def sech2_wave_integral(w):
+    with mp.workdps(30):
+        return complex(mp.pi * w / mp.sinh(mp.pi * w / 2))
+
+
 def test_quadrature_matches_bogoliubov_bracket():
-    # int_{-1}^{1} ((1+u)/(1-u))^{-i w/2} e^{i k u} du against its Kummer value
+    # int_{-1}^{1} ((1+u)/(1-u))^{-i w/2} e^{i k u} du in s = atanh u,
+    # int e^{i(k tanh s - w s)} sech^2 s ds, against its Kummer value
     w, k = 1.0, 1.0
-    f = lambda u: np.exp(-1j * (w / 2) * (np.log1p(u) - np.log1p(-u)) + 1j * k * u)
-    got = oscillatory_integral(f, QuadratureSpec(-1.0, 1.0, rel_tol=1e-11, oscillation_hint=w + k))
+    f = lambda s: np.exp(1j * (k * np.tanh(s) - w * s)) / np.cosh(s) ** 2
+    got, _ = _nested_trapezoid(f, -18.0, 18.0, 0.5, 1e-11)
     bracket = (
         math.pi * w / math.sinh(math.pi * w / 2)
         * np.exp(-1j * k)
@@ -171,61 +177,60 @@ def test_quadrature_matches_bogoliubov_bracket():
 
 
 def test_quadrature_tolerance_halving_consistency():
-    k = 7.0
-    f = lambda u: np.exp(1j * k * u) / (1.0 + u * u)
-    v1, e1 = oscillatory_integral_with_error(f, QuadratureSpec(-1.0, 1.0, 1e-8, oscillation_hint=k))
-    v2, _ = oscillatory_integral_with_error(f, QuadratureSpec(-1.0, 1.0, 5e-9, oscillation_hint=k))
+    f = sech2_wave(7.0)
+    v1, e1 = _nested_trapezoid(f, -18.0, 18.0, 0.5, 1e-8)
+    v2, _ = _nested_trapezoid(f, -18.0, 18.0, 0.5, 5e-9)
     assert abs(v1 - v2) <= max(e1, 1e-8 * abs(v1))
 
 
 def test_quadrature_determinism():
-    k = 5.0
-    spec = QuadratureSpec(0.0, 2.0, 1e-10, oscillation_hint=k)
-    f = lambda u: np.exp(1j * k * u) * np.cos(u)
-    assert oscillatory_integral(f, spec) == oscillatory_integral(f, spec)
+    f = sech2_wave(5.0)
+    assert _nested_trapezoid(f, -18.0, 18.0, 0.5, 1e-10) == _nested_trapezoid(f, -18.0, 18.0, 0.5, 1e-10)
 
 
-def test_quadrature_nonconvergence_carries_estimate():
-    # absurdly tight tolerance with a tiny subdivision budget
-    f = lambda u: np.exp(40j * u)
+def test_quadrature_nonconvergence_carries_estimate(monkeypatch):
+    # an absurdly tight tolerance on a small node budget
+    monkeypatch.setattr(specfun, "QUAD_NODE_BUDGET", 200)
     with pytest.raises(NonConvergence) as err:
-        oscillatory_integral(f, QuadratureSpec(0.0, 1.0, 1e-15, max_subdivisions=1, oscillation_hint=0.1))
+        _nested_trapezoid(sech2_wave(40.0), -18.0, 18.0, 0.5, 1e-15)
     assert err.value.best_estimate is not None
     assert err.value.error_bound is not None
 
 
 def test_quadrature_spec_validation():
+    # the interval and the tolerance of a call
+    f = sech2_wave(1.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(1.0, 0.0)
+        _nested_trapezoid(f, 1.0, 0.0, 0.5, 1e-10)
     with pytest.raises(ValueError):
-        QuadratureSpec(0.0, 1.0, rel_tol=0.0)
+        _nested_trapezoid(f, 0.0, 1.0, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("lo,hi,rel_tol", [(0.0, 1.0, math.inf), (0.0, 1.0, math.nan),
                                            (-math.inf, 1.0, 1e-10), (0.0, math.inf, 1e-10)])
 def test_quadrature_spec_rejects_non_finite_values(lo, hi, rel_tol):
-    # rel_tol = inf reached int(ceil(-inf)) and raised a bare OverflowError
+    # a nan rel_tol would refine to the node budget, and an inf one returns
+    # after the first halving
     with pytest.raises(ValueError):
-        QuadratureSpec(lo, hi, rel_tol=rel_tol)
+        _nested_trapezoid(sech2_wave(1.0), lo, hi, 0.5, rel_tol)
 
 
 def test_quadrature_chunks_keep_nodes_and_value(monkeypatch):
     # a pass longer than QUAD_CHUNK is evaluated chunk by chunk on the same
     # nodes; only the order of the sum changes
-    k = 40.0
-    spec = QuadratureSpec(0.0, 1.0, 1e-12, oscillation_hint=k)
-    whole = oscillatory_integral(lambda u: np.exp(1j * k * u), spec)
+    g = sech2_wave(3.0)
+    whole, _ = _nested_trapezoid(g, -18.0, 18.0, 0.5, 1e-12)
     seen = []
 
-    def f(u):
-        seen.append(u.size)
-        return np.exp(1j * k * u)
+    def f(s):
+        seen.append(s.size)
+        return g(s)
 
     monkeypatch.setattr(specfun, "QUAD_CHUNK", 7)
-    chunked = oscillatory_integral(f, spec)
+    chunked, _ = _nested_trapezoid(f, -18.0, 18.0, 0.5, 1e-12)
     assert max(seen) == 7 and sum(seen) > 7
     assert abs(chunked - whole) < 1e-14 * abs(whole)
-    assert abs(chunked - (np.exp(1j * k) - 1.0) / (1j * k)) < 1e-12 * abs(whole)
+    assert abs(chunked - sech2_wave_integral(3.0)) < 1e-12 * abs(whole)
 
 
 def test_quadrature_stops_at_the_node_budget(monkeypatch):
@@ -235,15 +240,32 @@ def test_quadrature_stops_at_the_node_budget(monkeypatch):
     seen = [0]
 
     def f(u):
-        # a step: the trapezoid error falls only like the spacing
+        # not negligible at the end u = 1, which carries full weight: the
+        # error falls only like the spacing
         seen[0] += u.size
-        return np.where(u < 0.3, 1.0 + 0j, 0.0)
+        return u * u + 0j
 
     with pytest.raises(NonConvergence) as err:
-        oscillatory_integral(f, QuadratureSpec(0.0, 1.0, 1e-12, max_subdivisions=30))
+        _nested_trapezoid(f, 0.0, 1.0, 0.5, 1e-12)
     assert 2500 < seen[0] <= 5000
     assert err.value.best_estimate is not None and err.value.error_bound is not None
     seen[0] = 0
     with pytest.raises(NonConvergence) as err:
-        oscillatory_integral(f, QuadratureSpec(0.0, 1.0, oscillation_hint=1e6))
+        _nested_trapezoid(f, 0.0, 1.0, 1e-6, 1e-10)
     assert seen[0] == 0 and err.value.best_estimate is None
+
+
+@pytest.mark.parametrize("rounding", [False, True])
+def test_quadrature_raises_at_once_on_a_non_finite_pass(rounding):
+    # a nan integrand refined until the subdivision cap, and without the cap
+    # it would run on to the node budget
+    seen = [0]
+
+    def f(s):
+        seen[0] += s.size
+        vals = np.where(s > 1.0, np.nan, 1.0 / np.cosh(s) ** 2)
+        return (vals, np.ones_like(s)) if rounding else vals
+
+    with pytest.raises(NonConvergence, match="not finite"):
+        _nested_trapezoid(f, -18.0, 18.0, 0.5, 1e-10, rounding=rounding)
+    assert seen[0] == 73
