@@ -42,6 +42,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> float:
+    value = _finite(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative number")
+    return value
+
+
 def _rel_tol(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bogoliubov)
 
     p = sub.add_parser("state", help="dump the Alice-Dave reduced state")
-    p.add_argument("--r", type=_finite, default=None)
+    p.add_argument("--r", type=_nonnegative, default=None)
     p.add_argument("--alpha", type=_positive, default=1.0)
     p.add_argument("--omega-hat", type=_positive, default=None)
     p.add_argument("--nmax", type=_nmax, default="auto")

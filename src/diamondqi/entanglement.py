@@ -42,9 +42,9 @@ from .states import (
     _LN2,
     _R_LIMIT,
     _blocks_for,
-    _check_r_cap,
     _ln_tanh2,
     _log_weights,
+    _r_for,
     _trace_tail,
     build_rho_ad,
     partial_transpose,
@@ -231,7 +231,7 @@ def _series(r: float, n_max: Optional[int] = None) -> dict:
 
 def _measures_full(r: float) -> dict:
     """All measures from the untruncated series."""
-    return _series(_check_r_cap(_as_r(r)))
+    return _series(_as_r(r))
 
 
 def _measures(r, trunc: Optional[FockTruncation]) -> dict:
@@ -245,9 +245,8 @@ def _measures(r, trunc: Optional[FockTruncation]) -> dict:
     """
     if trunc is None:
         return _measures_full(r)
-    trunc.check()
+    r = _r_for(r, trunc)
     full = _measures_full(r)
-    r = _as_r(r)
     m = _series(r, trunc.n_max)
     norm = ppt_spectrum_closed_form(r, trunc).trace_norm()
     m.update(neg_log=math.log2(norm), negativity=0.5 * (norm - 1.0), n_max_used=trunc.n_max)

@@ -145,8 +145,9 @@ def eval_mode(m: ModeSpec, p: EventCoords, strict: bool = False) -> complex:
 # ---------------------------------------------------------------------------
 
 def _check_bog_args(omega_hat, k_hat, kind):
-    if not (omega_hat > 0 and k_hat > 0):
-        raise ValueError("omega_hat and k_hat must be positive")
+    for name, value in (("omega_hat", omega_hat), ("k_hat", k_hat)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if kind not in ("alpha", "beta"):
         raise ValueError("kind must be 'alpha' or 'beta'")
 

@@ -14,6 +14,11 @@ occupation is n_max.
 The two-mode series w_n = q^n / (2 cosh^2 r), q = tanh^2 r, is defined here
 once for every state and measure: ``_log_weights``, the block count
 ``_blocks_for``, and the floor ``_R_LIMIT`` below which q = 0, as at r = 0.
+
+A ``FockTruncation`` is made at one r and checked against its tolerance
+there, once.  Every function that takes an (r, trunc) pair validates r in
+``_r_for``: a negative or NaN r raises ValueError, an r past the cap
+``_R_MAX`` DomainCap, and an r other than the truncation's own ValueError.
 """
 
 import math
@@ -39,6 +44,16 @@ def _as_r(r) -> float:
     r = float(r)
     if not r >= 0:
         raise ValueError("r must be nonnegative")
+    if r > _R_MAX:
+        raise DomainCap(f"r = {r:.6g} exceeds the validated cap {_R_MAX:g} of the series")
+    return r
+
+
+def _r_for(r, trunc: "FockTruncation") -> float:
+    """r as a float, once it is the r that trunc was made for."""
+    r = _as_r(r)
+    if r != trunc.r:
+        raise ValueError(f"a truncation made at r = {trunc.r!r} is used at r = {r!r}")
     return r
 
 
@@ -53,12 +68,6 @@ def _ln_tanh2(r: float) -> float:
     if r < _R_LIMIT:
         return -math.inf
     return -2.0 * math.log1p(2.0 / math.expm1(2.0 * r))
-
-
-def _check_r_cap(r: float) -> float:
-    if r > _R_MAX:
-        raise DomainCap(f"r = {r:.6g} exceeds the validated cap {_R_MAX:g} of the series")
-    return r
 
 
 def _log_weights(r: float, t):
@@ -88,37 +97,34 @@ def _blocks_for(r: float, tol: float) -> int:
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Retained block count and the geometric tail it leaves behind."""
+    """The block count n_max retained at squeezing r, and the geometric tail
+    it leaves there.  auto and fixed check the tail against tol once, when
+    they make it; every state and measure takes it at its own r only."""
 
+    r: float
     n_max: int
     tail_bound: float
-    tol: Optional[float] = None
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
 
     @classmethod
     def auto(cls, r, tol: float = 1e-12) -> "FockTruncation":
-        """_blocks_for(r, tol) blocks, capped at TRUNCATION_CAP; the cap may
-        leave a larger tail, which the assembly operations then reject."""
+        """_blocks_for(r, tol) blocks; TruncationTooSmall where that passes
+        TRUNCATION_CAP, whose blocks leave a larger tail."""
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-        r = _check_r_cap(_as_r(r))
-        n = min(_blocks_for(r, tol), TRUNCATION_CAP)
-        return cls(n, _trace_tail(r, n), tol)
+        r = _as_r(r)
+        return cls.fixed(min(_blocks_for(r, tol), TRUNCATION_CAP), r, tol)
 
     @classmethod
     def fixed(cls, n_max: int, r, tol: Optional[float] = None) -> "FockTruncation":
-        """Exactly n_max blocks; check() rejects them only if tol is given."""
-        r = _check_r_cap(_as_r(r))
-        return cls(n_max, _trace_tail(r, n_max), tol)
-
-    def check(self):
-        if self.tol is not None and self.tail_bound > self.tol:
-            raise TruncationTooSmall(
-                f"tail {self.tail_bound:.3e} exceeds tolerance {self.tol:.3e} at n_max={self.n_max}"
-            )
+        """Exactly n_max blocks; TruncationTooSmall if tol is given and their
+        tail exceeds it."""
+        if type(n_max) is not int or not 1 <= n_max <= TRUNCATION_CAP:
+            raise ValueError(f"n_max must be an integer in [1, {TRUNCATION_CAP}], got {n_max!r}")
+        r = _as_r(r)
+        tail = _trace_tail(r, n_max)
+        if tol is not None and tail > tol:
+            raise TruncationTooSmall(f"tail {tail:.3e} exceeds tolerance {tol:.3e} at n_max={n_max}")
+        return cls(r, n_max, tail)
 
 
 @dataclass(frozen=True)
@@ -216,25 +222,22 @@ def _geometric_weights(r: float, n_max: int) -> np.ndarray:
 
 def unruh_vacuum_coefficients(r, trunc: FockTruncation) -> np.ndarray:
     """Amplitudes tanh^n r / cosh r = sqrt(2 w_n) of |n, n>, n = 0..n_max."""
-    r = _as_r(r)
-    trunc.check()
+    r = _r_for(r, trunc)
     return np.exp(0.5 * (_log_weights(r, np.arange(trunc.n_max + 1, dtype=float)) + _LN2))
 
 
 def unruh_one_particle_coefficients(r, trunc: FockTruncation) -> np.ndarray:
     """Amplitudes sqrt(2 w_n (n+1)) / cosh r of |n+1, n>, n = 0..n_max-1."""
-    r = _as_r(r)
-    trunc.check()
+    r = _r_for(r, trunc)
     n = np.arange(trunc.n_max, dtype=float)
     return np.exp(0.5 * (_log_weights(r, n) + _LN2)) * np.sqrt(n + 1.0) / math.cosh(r)
 
 
 def build_rho_ad(r, trunc: Optional[FockTruncation] = None) -> BipartiteState:
     """Assemble the Alice-Dave reduced state in block form."""
-    r = _as_r(r)
     if trunc is None:
         trunc = FockTruncation.auto(r)
-    trunc.check()
+    r = _r_for(r, trunc)
     w = _geometric_weights(r, trunc.n_max)
     n = np.arange(trunc.n_max, dtype=float)
     gam = np.sqrt(n + 1.0) / math.cosh(r)

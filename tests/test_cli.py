@@ -307,6 +307,7 @@ def test_usage_error_exit_code():
     ["bogoliubov", "--omega-hat", "1", "--k-hat", "0", "--kind", "alpha"],
     ["state", "--alpha", "1", "--omega-hat", "0"],
     ["entanglement", "--lifetime-grid", "1:2:1", "--omega", "-1"],
+    ["state", "--r", "-1"],
 ])
 def test_bad_values_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:

@@ -311,6 +311,21 @@ def test_quadrature_rejects_rel_tol_outside_unit_interval(chart, rel_tol, kind, 
         dq.bogoliubov_quadrature(chart, 0.01, 2.0, kind, region, rel_tol=rel_tol)
 
 
+@pytest.mark.parametrize("arg", ["omega_hat", "k_hat"])
+@pytest.mark.parametrize("kind,region", [("alpha", ModeRegion.INT), ("beta", ModeRegion.INT),
+                                         ("alpha", ModeRegion.EXT), ("beta", ModeRegion.EXT)])
+def test_bogoliubov_rejects_an_infinite_frequency(chart, arg, kind, region):
+    # inf passed the positivity check: the quadrature raised NonConvergence or a
+    # bare math domain error, and the closed form DomainCap |z| = inf
+    args = {"omega_hat": 1.0, "k_hat": 0.5, arg: math.inf}
+    routes = [dq.bogoliubov_quadrature]
+    if region is ModeRegion.INT:
+        routes.append(dq.bogoliubov_closed_form)
+    for route in routes:
+        with pytest.raises(ValueError, match=f"^{arg} must be finite"):
+            route(chart, args["omega_hat"], args["k_hat"], kind, region)
+
+
 @pytest.mark.parametrize("w,k,kind,region,most", [
     # on the tanh map the exterior sides took 15 490 points here
     (1.0, 0.5, "alpha", ModeRegion.EXT, 1000),

@@ -36,10 +36,11 @@ def test_auto_truncation_meets_tolerance():
 
 
 def test_auto_truncation_cap_raises_downstream():
-    trunc = dq.FockTruncation.auto(4.0, tol=1e-12)  # cap binds at r = 4
-    assert trunc.n_max == 10_000 and trunc.tail_bound > 1e-12
-    with pytest.raises(dq.TruncationTooSmall):
-        dq.build_rho_ad(4.0, trunc)
+    # the cap binds at r = 4; the truncation is refused where it is made
+    with pytest.raises(dq.TruncationTooSmall, match="at n_max=10000$"):
+        dq.FockTruncation.auto(4.0, tol=1e-12)
+    with pytest.raises(dq.TruncationTooSmall, match="at n_max=10000$"):
+        dq.build_rho_ad(4.0)
 
 
 def test_truncations_raise_domain_cap_past_the_series_cap():
@@ -58,6 +59,10 @@ def test_auto_is_the_smallest_block_count_that_meets_tol(rng):
     # auto returned blocks whose tail exceeded tol
     for r, log_tol in zip(rng.uniform(0.0, 4.0, 300), rng.uniform(-15.0, -0.5, 300)):
         r, tol = float(r), 10.0 ** float(log_tol)
+        if _blocks_for(r, tol) > TRUNCATION_CAP:
+            with pytest.raises(dq.TruncationTooSmall):
+                dq.FockTruncation.auto(r, tol)
+            continue
         n = dq.FockTruncation.auto(r, tol).n_max
         assert n == _blocks_for(r, tol) or n == TRUNCATION_CAP
         if n < TRUNCATION_CAP:
@@ -75,6 +80,40 @@ def test_auto_rejects_a_tol_that_is_not_finite_and_positive(tol):
 def test_fixed_truncation_never_raises():
     st = dq.build_rho_ad(4.0, dq.FockTruncation.fixed(80, 4.0))
     assert st.n_max == 80
+
+
+@pytest.mark.parametrize("n_max", [0, 2.5, True, TRUNCATION_CAP + 1])
+def test_fixed_rejects_a_block_count_that_is_not_an_integer_up_to_the_cap(n_max):
+    # 2.5 failed in to_dense with a bare TypeError, and True built one block
+    with pytest.raises(ValueError, match="n_max must be an integer in"):
+        dq.FockTruncation.fixed(n_max, 0.5)
+
+
+# every consumer of an (r, trunc) pair
+_CONSUMERS = (
+    dq.build_rho_ad, dq.unruh_vacuum_coefficients, dq.unruh_one_particle_coefficients,
+    dq.ppt_spectrum_closed_form, dq.ppt_spectrum_oracle, dq.report_for, dq.entropies,
+)
+
+
+def test_a_truncation_is_used_only_at_the_r_it_was_made_for():
+    # its tail was checked at r = 0.1 only: at r = 3 build_rho_ad returned
+    # trace 0.040 with tail_bound 4.7e-16, and report_for neg_log = -4.55
+    trunc = dq.FockTruncation.fixed(8, 0.1, tol=1e-10)
+    assert trunc.r == 0.1
+    for consumer in _CONSUMERS:
+        with pytest.raises(ValueError, match="made at r = 0.1 is used at r = 3.0"):
+            consumer(3.0, trunc)
+
+
+@pytest.mark.parametrize("r", [320.5, 400.0, 1e300, math.inf])
+def test_a_foreign_truncation_past_the_cap_raises_a_typed_error(r):
+    # at r = 400 build_rho_ad, unruh_vacuum_coefficients and
+    # ppt_spectrum_closed_form raised a bare OverflowError
+    trunc = dq.FockTruncation.fixed(8, 0.1)
+    for consumer in _CONSUMERS:
+        with pytest.raises((dq.DomainCap, ValueError)):
+            consumer(r, trunc)
 
 
 def test_nan_r_is_rejected():
