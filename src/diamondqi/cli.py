@@ -49,6 +49,13 @@ def _nonnegative(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return value
+
+
 def _rel_tol(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -366,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("selftest", help="run the embedded invariant suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--perturb", type=_perturbation, default=None,
                    help="negative control: scale one closed form by 1.001 so its check fails")
     p.set_defaults(func=cmd_selftest)

@@ -12,6 +12,7 @@ every entry at two seeds, so each invariant is written down once.
 """
 
 import math
+import numbers
 import sys
 import time
 
@@ -50,6 +51,7 @@ from .modes import (
 from .specfun import KummerParams, _nested_trapezoid, kummer_m
 from .states import (
     FockTruncation,
+    _block_eigvalsh,
     build_rho_ad,
     partial_transpose,
     reduce_to_alice,
@@ -316,7 +318,7 @@ def _check_state_integrity(rng, _):
         st = build_rho_ad(r)
         dense = st.to_dense()
         worst_tr = _worst(worst_tr, abs(st.trace() - 1.0) - st.trunc.tail_bound)
-        worst_eig = _worst(worst_eig, -float(np.linalg.eigvalsh(dense).min()))
+        worst_eig = _worst(worst_eig, -float(_block_eigvalsh(dense)[0]))
         alice = reduce_to_alice(st)
         worst_alice = _worst(worst_alice, float(np.abs(alice - 0.5).max()) - st.trunc.tail_bound)
         dave = reduce_to_dave(st)
@@ -450,6 +452,8 @@ CHECKS = {
 def run_selftest(seed: int = 0, perturb: str = None, stream=None) -> int:
     """Run every registry entry with a fresh rng of this seed and print one
     PASS/FAIL line each; returns the number of failures."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if perturb is not None and perturb not in PERTURBATIONS:
         raise ValueError(f"unknown perturbation {perturb!r}; choose from {sorted(PERTURBATIONS)}")
     stream = stream or sys.stdout

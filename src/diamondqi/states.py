@@ -3,7 +3,9 @@
 Two operators, one type each: ``BipartiteState`` holds rho_AD, and
 ``PartialTranspose`` its partial transpose over Alice together with that
 operator's closed-form eigenvalues.  The reductions to Alice and to Dave
-return their diagonal weights as plain arrays.
+return their diagonal weights as plain arrays.  ``_block_eigvalsh``
+diagonalizes either operator's assembled matrix numerically, block by block,
+for the oracles that check the closed forms.
 
 Basis layout is Alice-occupation major, Dave-occupation minor: index
 (a, d) -> a*(n_max + 1) + d with a in {0, 1} and d in 0..n_max.  The state
@@ -213,6 +215,46 @@ class PartialTranspose:
 
     def trace(self) -> float:
         return float(self.lambda0 + self.lambda_top + self.pt_diag1.sum() + self.pt_diag2.sum())
+
+
+def _block_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric matrix m, the values
+    np.linalg.eigvalsh(m) returns, diagonalized block by block.
+
+    The blocks are the connected components of m's own nonzero pattern, in
+    which an entry joins its row and column whether or not its mirror is set.
+    They are found by min-label hooking with full shortcutting.  A round
+    costs O(nnz) and hooks each tree onto the least label next to it, if
+    that is below its own; a tree that does not hook has every neighbour
+    hooked at or below its label, so every tree merges within two rounds:
+    at most 2 log2(n) + 1 rounds, and 2 for a dense m.  The blocks of each
+    size are stacked and diagonalized in one eigvalsh call, each in ascending
+    index order, so a block reads the lower-triangle entries that the dense
+    call reads.  A matrix that no permutation makes block diagonal is one
+    block.
+    """
+    n = len(m)
+    i, j = np.divmod(np.flatnonzero(m), n)
+    i, j = np.concatenate((i, j)), np.concatenate((j, i))
+    label = np.arange(n)
+    while True:
+        # every root takes the least label next to its tree, and every index
+        # then follows its pointers to its new root
+        root = label.copy()
+        np.minimum.at(root, label[i], label[j])
+        while (root[root] != root).any():
+            root = root[root]
+        if (root == label).all():
+            break
+        label = root
+    order = np.argsort(label, kind="stable")
+    first = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = np.diff(first, append=n)
+    values = []
+    for size in np.flatnonzero(np.bincount(sizes)):
+        idx = order[first[sizes == size, None] + np.arange(size)]
+        values.append(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]).ravel())
+    return np.sort(np.concatenate(values))
 
 
 def _geometric_weights(r: float, n_max: int) -> np.ndarray:

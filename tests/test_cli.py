@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 
@@ -308,6 +309,8 @@ def test_usage_error_exit_code():
     ["state", "--alpha", "1", "--omega-hat", "0"],
     ["entanglement", "--lifetime-grid", "1:2:1", "--omega", "-1"],
     ["state", "--r", "-1"],
+    # printed 23 FAIL lines, one ValueError each, and exited 1
+    ["selftest", "--seed", "-1"],
 ])
 def test_bad_values_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:
@@ -340,3 +343,10 @@ def test_selftest_negative_control(capsys):
     assert "FAIL ppt-closed-vs-oracle" in out
     with pytest.raises(ValueError):
         run_selftest(perturb="typo")
+
+
+def test_selftest_refuses_a_negative_seed_before_any_check():
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        run_selftest(seed=-1, stream=out)
+    assert out.getvalue() == ""

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import diamondqi
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -50,6 +52,13 @@ def imported_modules(*args, cwd=None):
             if line.startswith("import time:")}
 
 
+@pytest.fixture(scope="module")
+def numpy_itself():
+    """The modules ``import numpy`` loads by itself: NumPy 1.24 loads
+    numpy.polynomial, numpy.random and numpy.ma there, NumPy 2 none of them."""
+    return imported_modules("-c", "import numpy")
+
+
 def test_package_import_loads_no_numpy():
     loaded = imported_modules("-c", "import diamondqi")
     assert "diamondqi" in loaded
@@ -64,11 +73,18 @@ def test_map_loads_no_numpy():
     assert "numpy" not in loaded
 
 
-def test_figures_loads_neither_invariants_nor_mpmath(tmp_path):
+def test_figures_loads_neither_invariants_nor_mpmath(tmp_path, numpy_itself):
     loaded = imported_modules("-m", "diamondqi.cli", "figures", "--out-dir", str(tmp_path))
     assert (tmp_path / "fig3.csv").is_file() and "diamondqi.entanglement" in loaded
-    for name in ("diamondqi.invariants", "mpmath", "diamondqi.modes", "diamondqi.specfun", "numpy.polynomial"):
+    for name in ("diamondqi.invariants", "mpmath", "diamondqi.modes", "diamondqi.specfun"):
         assert name not in loaded
+    assert "numpy.polynomial" not in loaded - numpy_itself
+
+
+def test_selftest_loads_no_masked_arrays(numpy_itself):
+    loaded = imported_modules("-m", "diamondqi.cli", "selftest")
+    assert "diamondqi.invariants" in loaded
+    assert "numpy.ma" not in loaded - numpy_itself
 
 
 def test_public_names_resolve_and_are_listed():

@@ -7,6 +7,7 @@ import pytest
 import diamondqi as dq
 from diamondqi.states import (
     TRUNCATION_CAP,
+    _block_eigvalsh,
     _blocks_for,
     _geometric_weights,
     _ln_tanh2,
@@ -297,3 +298,63 @@ def test_ln_tanh2_is_exact_to_rounding():
         for r in (0.1, 1.0, 5.0, 10.0, 15.0):
             exact = mpmath.log(mpmath.tanh(r) ** 2)
             assert abs((_ln_tanh2(r) - exact) / exact) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the block eigensolver
+# ---------------------------------------------------------------------------
+
+def assert_matches_eigvalsh(m):
+    got, want = _block_eigvalsh(m), np.linalg.eigvalsh(m)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def random_symmetric(rng, n, density):
+    m = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    return np.triu(m) + np.triu(m, 1).T
+
+
+def test_block_eigvalsh_matches_eigvalsh_on_random_sparse_matrices(rng):
+    for _ in range(300):
+        assert_matches_eigvalsh(random_symmetric(rng, int(rng.integers(1, 81)), 10 ** rng.uniform(-3, 0)))
+
+
+def test_block_eigvalsh_matches_eigvalsh_on_edge_patterns(rng):
+    chain = np.diag(rng.standard_normal(500)) + np.diag(np.ones(499), 1) + np.diag(np.ones(499), -1)
+    # the same chain with shuffled indices, so labels do not fall along the path
+    shuffle = rng.permutation(500)
+    holes = random_symmetric(rng, 60, 0.2)
+    holes[::7] = 0.0
+    holes[:, ::7] = 0.0
+    for m in (random_symmetric(rng, 300, 1.0), chain, chain[shuffle][:, shuffle], np.zeros((7, 7)),
+              np.array([[-2.5]]), np.zeros((1, 1)), holes):
+        assert_matches_eigvalsh(m)
+
+
+def selftest_operators():
+    """rho_AD and its partial transpose at every point the selftest diagonalizes."""
+    truncs = [dq.FockTruncation.auto(r) for r in (0.0, 0.5, 1.0, 2.0)]
+    truncs += [dq.FockTruncation.fixed(80, r) for r in (0.1, 0.3, 0.6, 1.0, 2.0, 4.0)]
+    truncs += [dq.FockTruncation.fixed(200, r) for r in (0.3, 1.0, 3.0)]
+    for trunc in truncs:
+        st = dq.build_rho_ad(trunc.r, trunc)
+        yield st
+        yield dq.partial_transpose(st)
+
+
+@pytest.mark.parametrize("op", selftest_operators(),
+                         ids=lambda op: f"{type(op).__name__}-{op.r}-{op.trunc.n_max}")
+def test_block_eigvalsh_matches_eigvalsh_at_the_selftest_points(op):
+    assert_matches_eigvalsh(op.to_dense())
+
+
+def test_an_entry_that_couples_two_blocks_is_diagonalized_with_them():
+    pt = dq.partial_transpose(dq.build_rho_ad(1.0, dq.FockTruncation.fixed(80, 1.0)))
+    m = pt.to_dense()
+    assert np.abs(_block_eigvalsh(m) - np.sort(pt.all_values())).max() < 1e-15
+    # |1,3> and |1,7> lie in the blocks n = 3 and n = 7
+    dd = pt.trunc.n_max + 1
+    m[dd + 3, dd + 7] = m[dd + 7, dd + 3] = 0.01
+    assert_matches_eigvalsh(m)
+    assert np.abs(_block_eigvalsh(m) - np.sort(pt.all_values())).max() > 1e-4
