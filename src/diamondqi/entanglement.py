@@ -18,8 +18,8 @@ Every call costs at most K + 1 + 64 summands, and the measures match a
 of an explicit Fock truncation are the same sums over the retained Dave
 levels 0..n_max, with N and log N from the closed-form eigenvalues of its
 ``states.PartialTranspose``; ``ppt_spectrum_oracle`` assembles the same
-operator dense and diagonalizes it numerically, block by block over the
-blocks of its own nonzero pattern.
+operator's entries and diagonalizes it numerically, block by block over the
+blocks of the entries' own nonzero pattern, without forming the full matrix.
 
 A useful exact rearrangement: the block traces of the partial transpose
 telescope to 1, so the trace norm is 1 + D with
@@ -128,10 +128,11 @@ def ppt_spectrum_closed_form(r, trunc: Optional[FockTruncation] = None) -> Parti
 
 
 def ppt_spectrum_oracle(r, trunc: Optional[FockTruncation] = None) -> np.ndarray:
-    """Sorted eigenvalues of the same partial transpose, assembled dense and
-    diagonalized numerically block by block, over the blocks of the assembled
-    matrix's own nonzero pattern; nothing is read from its closed-form pairs."""
-    return _block_eigvalsh(partial_transpose(build_rho_ad(r, trunc)).to_dense())
+    """Sorted eigenvalues of the same partial transpose, assembled as its
+    entries and diagonalized numerically block by block, over the blocks of
+    those entries' own nonzero pattern; nothing is read from its closed-form
+    pairs, and no matrix of the full dimension is formed."""
+    return _block_eigvalsh(*partial_transpose(build_rho_ad(r, trunc)).entries())
 
 
 # ---------------------------------------------------------------------------

@@ -316,14 +316,15 @@ def _check_state_integrity(rng, _):
     worst_tr = worst_eig = worst_alice = worst_dave = 0.0
     for r in (0.0, 0.5, 1.0, 2.0):
         st = build_rho_ad(r)
-        dense = st.to_dense()
+        rows, cols, values, _ = entries = st.entries()
         worst_tr = _worst(worst_tr, abs(st.trace() - 1.0) - st.trunc.tail_bound)
-        worst_eig = _worst(worst_eig, -float(_block_eigvalsh(dense)[0]))
+        worst_eig = _worst(worst_eig, -float(_block_eigvalsh(*entries)[0]))
         alice = reduce_to_alice(st)
         worst_alice = _worst(worst_alice, float(np.abs(alice - 0.5).max()) - st.trunc.tail_bound)
         dave = reduce_to_dave(st)
-        dd = st.dave_dim
-        oracle = dense[:dd, :dd].diagonal() + dense[dd:, dd:].diagonal()
+        # the partial trace over Alice: diagonal entry (a, d) adds to level d
+        diag = rows == cols
+        oracle = np.bincount(rows[diag] % st.dave_dim, values[diag], minlength=st.dave_dim)
         worst_dave = _worst(worst_dave, float(np.abs(dave - oracle).max()))
     ok = worst_tr <= 1e-13 and worst_eig <= 1e-12 and worst_alice <= 1e-13 and worst_dave <= 1e-12
     return ok, f"trace {worst_tr:.1e} eig {worst_eig:.1e} alice {worst_alice:.1e} dave {worst_dave:.1e}"

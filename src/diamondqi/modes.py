@@ -69,10 +69,17 @@ class ModeSpec:
 
 
 def squeezing_from_frequency(chart: DiamondChart, omega: float) -> float:
-    """r = atanh(exp(-pi*omega*alpha/2)); decreasing in omega and alpha."""
+    """r = atanh(exp(-pi*omega*alpha/2)); decreasing in omega and alpha.
+
+    Raises DomainCap below omega_hat ~ 7e-309, where r ~ ln(4/(pi omega_hat))/2
+    overflows to inf, and cosh r * g + sinh r * 0 would read NaN.
+    """
     if not omega > 0:
         raise ValueError("omega must be positive")
-    return _squeezing_r(omega * chart.alpha)
+    r = _squeezing_r(omega * chart.alpha)
+    if r == math.inf:
+        raise DomainCap(f"omega_hat = {omega * chart.alpha:.6g}: the squeezing r overflows")
+    return r
 
 
 def thermal_occupation(chart: DiamondChart, omega: float) -> float:

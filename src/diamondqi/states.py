@@ -3,9 +3,11 @@
 Two operators, one type each: ``BipartiteState`` holds rho_AD, and
 ``PartialTranspose`` its partial transpose over Alice together with that
 operator's closed-form eigenvalues.  The reductions to Alice and to Dave
-return their diagonal weights as plain arrays.  ``_block_eigvalsh``
-diagonalizes either operator's assembled matrix numerically, block by block,
-for the oracles that check the closed forms.
+return their diagonal weights as plain arrays.  Each operator is assembled
+once, as the coordinate entries that ``entries()`` returns; ``to_dense()``
+scatters them into a matrix, and ``_block_eigvalsh`` diagonalizes them
+numerically, block by block, for the oracles that check the closed forms,
+without forming the matrix.
 
 Basis layout is Alice-occupation major, Dave-occupation minor: index
 (a, d) -> a*(n_max + 1) + d with a in {0, 1} and d in 0..n_max.  The state
@@ -147,17 +149,21 @@ class BipartiteState:
     def dave_dim(self) -> int:
         return self.n_max + 1
 
-    def to_dense(self) -> np.ndarray:
-        """Assemble the full 2*(n_max+1) matrix in the (a, d) basis."""
+    def entries(self):
+        """(rows, cols, values, dim): the operator's 4 n_max entries in the
+        (a, d) basis of dimension dim = 2*(n_max+1), each block's
+        [[w, w g], [w g, w g^2]] on {|0,n>, |1,n+1>}."""
         dd = self.dave_dim
-        m = np.zeros((2 * dd, 2 * dd))
-        n = np.arange(self.n_max)
-        i = n            # (0, n)
-        j = dd + n + 1   # (1, n+1)
-        m[i, i] += self.weights
-        m[i, j] = m[j, i] = self.weights * self.gammas
-        m[j, j] += self.weights * self.gammas ** 2
-        return m
+        i = np.arange(self.n_max)  # (0, n)
+        j = dd + i + 1             # (1, n+1)
+        coh = self.weights * self.gammas
+        return (np.concatenate((i, i, j, j)), np.concatenate((i, j, i, j)),
+                np.concatenate((self.weights, coh, coh, self.weights * self.gammas ** 2)), 2 * dd)
+
+    def to_dense(self) -> np.ndarray:
+        """The full 2*(n_max+1) matrix in the (a, d) basis: entries()
+        scattered into zeros."""
+        return _scatter(*self.entries())
 
     def trace(self) -> float:
         return float((self.weights * (1.0 + self.gammas ** 2)).sum())
@@ -199,44 +205,57 @@ class PartialTranspose:
     def trace_norm(self) -> float:
         return float(np.abs(self.all_values()).sum())
 
-    def to_dense(self) -> np.ndarray:
-        """Assemble the full 2*(n_max+1) matrix in the (a, d) basis."""
+    def entries(self):
+        """(rows, cols, values, dim): the operator's 4 n_max + 2 entries in
+        the (a, d) basis of dimension dim = 2*(n_max+1): lambda0 on |0,0>,
+        lambda_top on |1,n_max>, and each block on {|1,n>, |0,n+1>}."""
         dd = self.trunc.n_max + 1
-        m = np.zeros((2 * dd, 2 * dd))
         n = np.arange(self.trunc.n_max)
-        m[0, 0] = self.lambda0
-        m[-1, -1] = self.lambda_top  # (1, n_max)
-        i = dd + n       # (1, n)
-        j = n + 1        # (0, n+1)
-        m[i, i] += self.pt_diag1
-        m[i, j] = m[j, i] = self.pt_coh
-        m[j, j] += self.pt_diag2
-        return m
+        i = dd + n  # (1, n)
+        j = n + 1   # (0, n+1)
+        ends = np.array([0, 2 * dd - 1])
+        return (np.concatenate((ends, i, i, j, j)), np.concatenate((ends, i, j, i, j)),
+                np.concatenate(([self.lambda0, self.lambda_top], self.pt_diag1, self.pt_coh,
+                                self.pt_coh, self.pt_diag2)), 2 * dd)
+
+    def to_dense(self) -> np.ndarray:
+        """The full 2*(n_max+1) matrix in the (a, d) basis: entries()
+        scattered into zeros."""
+        return _scatter(*self.entries())
 
     def trace(self) -> float:
         return float(self.lambda0 + self.lambda_top + self.pt_diag1.sum() + self.pt_diag2.sum())
 
 
-def _block_eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the real symmetric matrix m, the values
-    np.linalg.eigvalsh(m) returns, diagonalized block by block.
+def _scatter(rows, cols, values, dim) -> np.ndarray:
+    """The dim x dim matrix of the entries; duplicate entries add up."""
+    m = np.zeros((dim, dim))
+    np.add.at(m, (rows, cols), values)
+    return m
 
-    The blocks are the connected components of m's own nonzero pattern, in
-    which an entry joins its row and column whether or not its mirror is set.
-    They are found by min-label hooking with full shortcutting.  A round
-    costs O(nnz) and hooks each tree onto the least label next to it, if
-    that is below its own; a tree that does not hook has every neighbour
-    hooked at or below its label, so every tree merges within two rounds:
-    at most 2 log2(n) + 1 rounds, and 2 for a dense m.  The blocks of each
-    size are stacked and diagonalized in one eigvalsh call, each in ascending
-    index order, so a block reads the lower-triangle entries that the dense
-    call reads.  A matrix that no permutation makes block diagonal is one
-    block.
+
+def _block_eigvalsh(rows, cols, values, dim) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric matrix _scatter(rows,
+    cols, values, dim), the values np.linalg.eigvalsh returns for it,
+    diagonalized block by block without assembling that matrix.
+
+    The blocks are the connected components of the pattern of the nonzero
+    entries, in which an entry joins its row and column whether or not its
+    mirror is given; exact zeros join nothing.  They are found by min-label
+    hooking with full shortcutting.  A round costs O(entries) and hooks each
+    tree onto the least label next to it, if that is below its own; a tree
+    that does not hook has every neighbour hooked at or below its label, so
+    every tree merges within two rounds: at most 2 log2(dim) + 1 rounds.  The
+    entries of the blocks of each size are scattered into one stacked array,
+    each block in ascending index order and duplicates adding up as in
+    _scatter, so a block holds the entries that the assembled matrix holds
+    there; each size takes one eigvalsh call.  A matrix that no permutation
+    makes block diagonal is one block.
     """
-    n = len(m)
-    i, j = np.divmod(np.flatnonzero(m), n)
-    i, j = np.concatenate((i, j)), np.concatenate((j, i))
-    label = np.arange(n)
+    keep = values != 0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    i, j = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    label = np.arange(dim)
     while True:
         # every root takes the least label next to its tree, and every index
         # then follows its pointers to its new root
@@ -249,12 +268,21 @@ def _block_eigvalsh(m: np.ndarray) -> np.ndarray:
         label = root
     order = np.argsort(label, kind="stable")
     first = np.flatnonzero(np.diff(label[order], prepend=-1))
-    sizes = np.diff(first, append=n)
-    values = []
+    sizes = np.diff(first, append=dim)
+    # each index's block, and its place in that block's ascending index order
+    block, place = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    block[order] = np.repeat(np.arange(len(first)), sizes)
+    place[order] = np.arange(dim) - np.repeat(first, sizes)
+    entry_block = block[rows]
+    spectra = []
     for size in np.flatnonzero(np.bincount(sizes)):
-        idx = order[first[sizes == size, None] + np.arange(size)]
-        values.append(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]).ravel())
-    return np.sort(np.concatenate(values))
+        of_size = sizes == size
+        rank = np.cumsum(of_size) - 1  # a block's place among those of its size
+        sel = of_size[entry_block]
+        stack = np.zeros((int(of_size.sum()), size, size))
+        np.add.at(stack, (rank[entry_block[sel]], place[rows[sel]], place[cols[sel]]), values[sel])
+        spectra.append(np.linalg.eigvalsh(stack).ravel())
+    return np.sort(np.concatenate(spectra))
 
 
 def _geometric_weights(r: float, n_max: int) -> np.ndarray:

@@ -88,6 +88,19 @@ def test_modes_subcommand(capsys):
     assert rec["value"]["im"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["modes", "--alpha", "1", "--family", "unruh-int", "--omega", "5e-309", "--point", "0.1,0.2"],
+    ["modes", "--alpha", "1", "--family", "unruh-ext", "--omega", "5e-324", "--point", "0.1,0.2"],
+    ["state", "--alpha", "1", "--omega-hat", "5e-309"],
+])
+def test_an_overflowing_squeezing_is_a_domain_cap(capsys, argv):
+    # modes printed a NaN value and exited 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainCap" and "the squeezing r overflows" in error["message"]
+
+
 def test_bogoliubov_both_deviation(capsys):
     code, out, _ = run_cli(capsys, "bogoliubov", "--omega-hat", "1", "--k-hat", "1",
                            "--kind", "alpha", "--method", "both")

@@ -82,6 +82,18 @@ def test_unruh_modes_are_weighted_continuations(chart):
     assert dq.eval_mode(he, p_in) == math.sinh(r) * dq.eval_mode(gi, p_in).conjugate()
 
 
+@pytest.mark.parametrize("family", [dq.Family.UNRUH_H_INT, dq.Family.UNRUH_H_EXT])
+def test_unruh_modes_raise_where_the_squeezing_overflows(family):
+    # below omega_hat ~ 7e-309, r = inf, and cosh r * g + sinh r * 0 read NaN
+    chart = dq.DiamondChart(1.0)
+    p = dq.EventCoords.diamond(0.1, 0.2)
+    for omega in (5e-309, 5e-324):
+        with pytest.raises(dq.DomainCap, match="the squeezing r overflows"):
+            dq.eval_mode(dq.ModeSpec(dq.Sigma.PLUS, omega, family, chart), p)
+    value = dq.eval_mode(dq.ModeSpec(dq.Sigma.PLUS, 1e-308, family, chart), p)
+    assert math.isfinite(value.real) and math.isfinite(value.imag)
+
+
 def test_unruh_weights_normalization(chart):
     for omega in (0.2, 1.0, 5.0):
         r = dq.squeezing_from_frequency(chart, omega)

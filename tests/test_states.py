@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 import diamondqi as dq
+from diamondqi.invariants import _check_state_integrity
 from diamondqi.states import (
+    _R_LIMIT,
     TRUNCATION_CAP,
     _block_eigvalsh,
     _blocks_for,
     _geometric_weights,
     _ln_tanh2,
+    _scatter,
     _trace_tail,
 )
 from test_invariants import lookup
@@ -304,8 +308,14 @@ def test_ln_tanh2_is_exact_to_rounding():
 # the block eigensolver
 # ---------------------------------------------------------------------------
 
+def block_eigvalsh_of(m):
+    """_block_eigvalsh on the nonzero entries of the matrix m."""
+    i, j = np.nonzero(m)
+    return _block_eigvalsh(i, j, m[i, j], len(m))
+
+
 def assert_matches_eigvalsh(m):
-    got, want = _block_eigvalsh(m), np.linalg.eigvalsh(m)
+    got, want = block_eigvalsh_of(m), np.linalg.eigvalsh(m)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -352,9 +362,144 @@ def test_block_eigvalsh_matches_eigvalsh_at_the_selftest_points(op):
 def test_an_entry_that_couples_two_blocks_is_diagonalized_with_them():
     pt = dq.partial_transpose(dq.build_rho_ad(1.0, dq.FockTruncation.fixed(80, 1.0)))
     m = pt.to_dense()
-    assert np.abs(_block_eigvalsh(m) - np.sort(pt.all_values())).max() < 1e-15
+    assert np.abs(block_eigvalsh_of(m) - np.sort(pt.all_values())).max() < 1e-15
     # |1,3> and |1,7> lie in the blocks n = 3 and n = 7
     dd = pt.trunc.n_max + 1
     m[dd + 3, dd + 7] = m[dd + 7, dd + 3] = 0.01
     assert_matches_eigvalsh(m)
-    assert np.abs(_block_eigvalsh(m) - np.sort(pt.all_values())).max() > 1e-4
+    assert np.abs(block_eigvalsh_of(m) - np.sort(pt.all_values())).max() > 1e-4
+
+
+def test_an_explicit_zero_entry_joins_no_blocks(monkeypatch):
+    # a stored 0 between |0> and |1> leaves two 1x1 blocks, as the zero it
+    # scatters to does in the assembled matrix's nonzero pattern
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    rows, cols, values = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0]), np.array([2.0, 3.0, 0.0, 0.0])
+    assert _block_eigvalsh(rows, cols, values, 2).tolist() == [2.0, 3.0]
+    assert shapes == [(2, 1, 1)]
+
+
+def test_duplicate_entries_add_up_as_in_the_scatter():
+    # (0, 1) is given twice, 0.25 + 0.75: [[1, 1], [1, 1]] has eigenvalues 0 and 2
+    rows, cols = np.array([0, 0, 0, 1, 1]), np.array([0, 1, 1, 0, 1])
+    values = np.array([1.0, 0.25, 0.75, 1.0, 1.0])
+    assert np.array_equal(_scatter(rows, cols, values, 3), [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+    assert np.abs(_block_eigvalsh(rows, cols, values, 3) - [0.0, 0.0, 2.0]).max() < 1e-15
+
+
+def written_out_assembly(op):
+    """The dense assembly that to_dense() made before it scattered entries()."""
+    dd = op.trunc.n_max + 1
+    m = np.zeros((2 * dd, 2 * dd))
+    n = np.arange(op.trunc.n_max)
+    if isinstance(op, dq.BipartiteState):
+        i, j = n, dd + n + 1  # (0, n), (1, n+1)
+        m[i, i] += op.weights
+        m[i, j] = m[j, i] = op.weights * op.gammas
+        m[j, j] += op.weights * op.gammas ** 2
+    else:
+        m[0, 0] = op.lambda0
+        m[-1, -1] = op.lambda_top  # (1, n_max)
+        i, j = dd + n, n + 1  # (1, n), (0, n+1)
+        m[i, i] += op.pt_diag1
+        m[i, j] = m[j, i] = op.pt_coh
+        m[j, j] += op.pt_diag2
+    return m
+
+
+def assembled_operators():
+    """The selftest's operators: those it diagonalizes and those that
+    partial-transpose-entrywise assembles."""
+    yield from selftest_operators()
+    for r, n_max in ((0.6, 60), (1.0, 10), (0.0, 1)):
+        st = dq.build_rho_ad(r, dq.FockTruncation.fixed(n_max, r))
+        yield st
+        yield dq.partial_transpose(st)
+
+
+@pytest.mark.parametrize("op", assembled_operators(),
+                         ids=lambda op: f"{type(op).__name__}-{op.r}-{op.trunc.n_max}")
+def test_to_dense_and_entries_are_the_written_out_assembly_bit_for_bit(op):
+    dense = op.to_dense()
+    assert dense.tobytes() == written_out_assembly(op).tobytes()
+    assert _block_eigvalsh(*op.entries()).tobytes() == block_eigvalsh_of(dense).tobytes()
+
+
+def test_the_oracle_reaches_auto_truncation_at_r_3():
+    trunc = dq.FockTruncation.auto(3.0)
+    assert trunc.n_max == 3068
+    closed = np.sort(dq.ppt_spectrum_closed_form(3.0, trunc).all_values())
+    oracle = dq.ppt_spectrum_oracle(3.0, trunc)
+    assert oracle.shape == closed.shape
+    assert np.abs(oracle - closed).max() <= 1e-13 * np.abs(closed).max()
+
+
+def allocated_above_start(call):
+    """Peak bytes that call() holds beyond what was allocated when it began.
+    NumPy reports its buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_the_oracles_assemble_no_matrix_of_the_full_dimension(rng):
+    # the dense r = 3 partial transpose (6138 x 6138) held ~300 MB, and the
+    # dense r = 2 rho_AD in state-integrity ~5.5 MB
+    trunc = dq.FockTruncation.auto(3.0)
+    dq.ppt_spectrum_oracle(3.0, trunc)
+    assert allocated_above_start(lambda: dq.ppt_spectrum_oracle(3.0, trunc)) < 16e6
+    _check_state_integrity(rng, None)
+    assert allocated_above_start(lambda: _check_state_integrity(rng, None)) < 2e6
+
+
+# ---------------------------------------------------------------------------
+# rho_AD from the two-mode squeeze operator
+# ---------------------------------------------------------------------------
+
+def squeezed_sector_column(r, s, size):
+    """exp(r (a^dag b^dag - a b)) |s, 0> on the sector n_a - n_b = s, as the
+    amplitudes of |n+s, n>, n = 0..size-1.  The generator G is real,
+    antisymmetric and tridiagonal there, with G[n+1, n] = sqrt((n+1)(n+1+s)),
+    so exp(r G) = V exp(-i r L) V^dag from eigh(i G) = (L, V)."""
+    n = np.arange(size - 1)
+    g = np.diag(np.sqrt((n + 1.0) * (n + 1.0 + s)), -1)
+    lam, v = np.linalg.eigh(1j * (g - g.T))
+    return (v @ (np.exp(-1j * r * lam) * v[0].conj())).real
+
+
+@pytest.mark.parametrize("r,n_max,size", [
+    (0.1, 20, 60), (0.5, 40, 80), (1.0, 60, 120), (2.0, 300, 800), (0.1 * _R_LIMIT, 5, 20),
+])
+def test_rho_ad_from_the_two_mode_squeeze_operator(r, n_max, size):
+    # (|0>_A S|0,0> + |1>_A S|1,0>)/sqrt(2), traced over the exterior mode b,
+    # where S|0,0> is the Unruh vacuum and S|1,0> its one-particle state;
+    # nothing of the state's closed form enters.  Each sector is wide enough
+    # that its edge amplitude, ~tanh^size r, lies below rounding: at (2, 300)
+    # a sector of 500 left the amplitudes 2.5e-14 off, and rho_AD 2.7e-16
+    trunc = dq.FockTruncation.fixed(n_max, r)
+    vacuum = squeezed_sector_column(r, 0, size)
+    one = squeezed_sector_column(r, 1, size)
+    assert np.abs(vacuum[: n_max + 1] - dq.unruh_vacuum_coefficients(r, trunc)).max() < 2e-15
+    assert np.abs(one[:n_max] - dq.unruh_one_particle_coefficients(r, trunc)).max() < 2e-15
+    # amplitudes of |a, d> (rows) against the exterior level m (columns)
+    dd = n_max + 1
+    m = np.arange(n_max)
+    psi = np.zeros((2 * dd, n_max))
+    psi[m, m] = vacuum[:n_max] / math.sqrt(2.0)
+    psi[dd + m + 1, m] = one[:n_max] / math.sqrt(2.0)
+    assert np.abs(psi @ psi.T - dq.build_rho_ad(r, trunc).to_dense()).max() < 2e-15
