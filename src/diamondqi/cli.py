@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 numeric failure (JSON error record on stderr),
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -390,5 +391,21 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry of ``python -m diamondqi.cli`` and of the ``diamondqi``
+    console script: ``main()`` of the command line, then ``gc.freeze()``.
+
+    Freezing moves every tracked object into the permanent generation, so the
+    interpreter's final collections skip the heap that NumPy and mpmath built;
+    the operating system reclaims it when the process exits.  Finalization
+    still flushes stdio and runs atexit handlers.  The freeze also runs when
+    argparse exits through ``SystemExit``.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -291,7 +291,8 @@ def report_for(r, trunc: Optional[FockTruncation] = None) -> EntanglementReport:
 
 
 def r_from_lifetime(lifetime: float, omega: float) -> float:
-    """Squeezing parameter of a diamond observer with the given lifetime."""
+    """Squeezing parameter of a diamond observer with the given lifetime;
+    DomainCap where omega*lifetime/2 lies below ~7e-309 and r overflows."""
     if not (lifetime > 0 and omega > 0):
         raise ValueError("lifetime and omega must be positive (zero lifetime gives r = infinity)")
     return _squeezing_r(omega * lifetime / 2.0)
@@ -307,25 +308,23 @@ def sweep(
     """Reports over a grid of r (or lifetimes at fixed omega): of the full
     series, or, given n_max, of FockTruncation.fixed(n_max, r, tol) at each r.
 
-    Per-point failures are collected in the error dict (index -> message)
-    instead of aborting the sweep; failed slots hold None.  Result order
-    follows input order.
+    Per-point failures, a lifetime whose r overflows among them, are
+    collected in the error dict (index -> message) instead of aborting the
+    sweep; failed slots hold None.  Result order follows input order.
     """
     if (r_values is None) == (lifetimes is None):
         raise ValueError("provide exactly one of r_values or lifetimes")
-    if lifetimes is not None:
-        if omega is None:
-            raise ValueError("lifetime grids need omega")
-        grid = [r_from_lifetime(lt, omega) for lt in lifetimes]
-    else:
-        grid = [float(r) for r in r_values]
+    if lifetimes is not None and not (omega is not None and omega > 0):
+        raise ValueError("lifetime grids need a positive omega")
+    grid = [float(r) for r in r_values] if lifetimes is None else list(lifetimes)
     if not grid:
         raise ValueError("empty grid")
 
     reports: List[Optional[EntanglementReport]] = []
     errors: Dict[int, str] = {}
-    for idx, r in enumerate(grid):
+    for idx, point in enumerate(grid):
         try:
+            r = point if lifetimes is None else r_from_lifetime(point, omega)
             trunc = None if n_max is None else FockTruncation.fixed(n_max, r, tol)
             reports.append(report_for(r, trunc))
         except Exception as exc:  # noqa: BLE001 - per-point failures are data

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import OnHorizon, SingularPoint, UnsupportedRegion
+from .errors import DomainCap, OnHorizon, SingularPoint, UnsupportedRegion
 
 SINGULAR_TOL = 1e-10  # hatted units, i.e. relative to alpha
 
@@ -91,10 +91,14 @@ def _squeezing_r(omega_hat: float) -> float:
 
     The one owner of r(omega_hat), for ``modes`` and ``entanglement`` alike.
     atanh of the rounded e^{-x} loses ~eps/x relative as x -> 0; this form
-    has no cancellation at any x.
+    has no cancellation at any x.  Raises DomainCap below omega_hat ~ 7e-309,
+    where r ~ ln(4/(pi omega_hat))/2 overflows to inf.
     """
     x = math.pi * omega_hat / 2.0
-    return 0.5 * math.log1p(2.0 * math.exp(-x) / -math.expm1(-x))
+    r = 0.5 * math.log1p(2.0 * math.exp(-x) / -math.expm1(-x))
+    if not math.isfinite(r):
+        raise DomainCap(f"omega_hat = {omega_hat:.6g}: the squeezing r overflows")
+    return r
 
 
 @dataclass(frozen=True)

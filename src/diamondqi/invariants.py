@@ -7,8 +7,9 @@
 every entry at two seeds, so each invariant is written down once.
 
 ``PERTURBATIONS`` maps each negative control to the one check it must trip:
-``perturb="bogoliubov-closed"`` scales the Bogoliubov closed form, and
-``perturb="ppt-closed"`` the PPT spectrum, by 1.001.
+``perturb="bogoliubov-closed"`` scales the Bogoliubov closed form,
+``perturb="ppt-closed"`` the PPT spectrum, and ``perturb="squeezing"`` the
+squeezing r(omega_hat), by 1.001.
 """
 
 import math
@@ -63,6 +64,7 @@ from .states import (
 PERTURBATIONS = {
     "bogoliubov-closed": "bogoliubov-closed-vs-quadrature",
     "ppt-closed": "ppt-closed-vs-oracle",
+    "squeezing": "thermality",
 }
 
 
@@ -283,11 +285,12 @@ def _check_ext_positive_frequency(rng, _):
     return worst < 1e-8, f"worst residual {worst:.2e}"
 
 
-def _check_thermality(rng, _):
+def _check_thermality(rng, perturb):
+    factor = 1.001 if perturb == "squeezing" else 1.0
     chart = DiamondChart(1.0)
     worst = 0.0
     for wh in np.linspace(0.1, 20.0, 400):
-        r = squeezing_from_frequency(chart, wh)
+        r = squeezing_from_frequency(chart, wh) * factor
         boltz = math.exp(-math.pi * wh)
         n = thermal_occupation(chart, wh)
         worst = _worst(

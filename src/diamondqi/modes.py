@@ -71,27 +71,28 @@ class ModeSpec:
 def squeezing_from_frequency(chart: DiamondChart, omega: float) -> float:
     """r = atanh(exp(-pi*omega*alpha/2)); decreasing in omega and alpha.
 
-    Raises DomainCap below omega_hat ~ 7e-309, where r ~ ln(4/(pi omega_hat))/2
-    overflows to inf, and cosh r * g + sinh r * 0 would read NaN.
+    Raises DomainCap below omega_hat ~ 7e-309, where r overflows to inf, and
+    cosh r * g + sinh r * 0 would read NaN.
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
-    r = _squeezing_r(omega * chart.alpha)
-    if r == math.inf:
-        raise DomainCap(f"omega_hat = {omega * chart.alpha:.6g}: the squeezing r overflows")
-    return r
+    return _squeezing_r(omega * chart.alpha)
 
 
 def thermal_occupation(chart: DiamondChart, omega: float) -> float:
     """Mean interior occupation n = 1/(e^{pi*alpha*omega} - 1) = sinh^2 r.
 
     Computed algebraically from the squeezing parametrization rather than by
-    regularizing the continuum |beta|^2 integral.
+    regularizing the continuum |beta|^2 integral.  Raises DomainCap below
+    omega_hat ~ 1.8e-309, where n ~ 1/(pi omega_hat) overflows to inf.
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
     x2 = math.exp(-math.pi * omega * chart.alpha)
-    return x2 / -math.expm1(-math.pi * omega * chart.alpha)
+    n = x2 / -math.expm1(-math.pi * omega * chart.alpha)
+    if not math.isfinite(n):
+        raise DomainCap(f"omega_hat = {omega * chart.alpha:.6g}: the thermal occupation overflows")
+    return n
 
 
 def _g_int_phase(uh, omega_hat):

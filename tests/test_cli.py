@@ -1,13 +1,20 @@
 import argparse
+import gc
+import inspect
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
-from diamondqi.cli import _MAX_GRID_POINTS, _grid, _nmax, _report_row, main
+from diamondqi import cli
+from diamondqi.cli import _CSV_HEADER, _MAX_GRID_POINTS, _grid, _nmax, _report_row, main
 from diamondqi.entanglement import report_for
-from diamondqi.invariants import run_selftest
+from diamondqi.invariants import PERTURBATIONS, run_selftest
 from diamondqi.states import TRUNCATION_CAP, FockTruncation
 
 
@@ -218,6 +225,14 @@ def test_entanglement_lifetime_grid(capsys):
     assert all(b < a for a, b in zip(rs, rs[1:]))  # longer life, smaller r
 
 
+def test_a_lifetime_whose_squeezing_overflows_is_a_point_failure(capsys):
+    code, out, err = run_cli(capsys, "entanglement", "--lifetime-grid", "1e-300:1e-300:1",
+                             "--omega", "1e-10")
+    assert code == 1 and out == _CSV_HEADER + "\n"
+    assert json.loads(err) == {"error": {"type": "SweepPointFailures", "points": {
+        "0": "DomainCap: omega_hat = 5e-311: the squeezing r overflows"}}}
+
+
 def test_entanglement_alpha_mode_half_lifetime(capsys):
     _, out_full, _ = run_cli(capsys, "entanglement", "--lifetime-grid", "2:2:1", "--omega", "1.0")
     _, out_half, _ = run_cli(capsys, "entanglement", "--lifetime-grid", "1:1:1", "--omega", "1.0",
@@ -346,14 +361,12 @@ def test_nmax_type_takes_auto_or_a_block_count_up_to_the_cap():
 
 
 def test_selftest_negative_control(capsys):
-    failures = run_selftest(perturb="bogoliubov-closed")
-    out = capsys.readouterr().out
-    assert failures == 1
-    assert "FAIL bogoliubov-closed-vs-quadrature" in out
-    failures = run_selftest(perturb="ppt-closed")
-    out = capsys.readouterr().out
-    assert failures == 1
-    assert "FAIL ppt-closed-vs-oracle" in out
+    assert PERTURBATIONS["squeezing"] == "thermality"
+    for perturb, check in PERTURBATIONS.items():
+        failures = run_selftest(perturb=perturb)
+        out = capsys.readouterr().out
+        assert failures == 1
+        assert f"FAIL {check} (" in out
     with pytest.raises(ValueError):
         run_selftest(perturb="typo")
 
@@ -363,3 +376,79 @@ def test_selftest_refuses_a_negative_seed_before_any_check():
     with pytest.raises(ValueError, match="nonnegative integer"):
         run_selftest(seed=-1, stream=out)
     assert out.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# the process entry: python -m diamondqi.cli and the console script
+# ---------------------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def console_script_target():
+    """(module, function) of the ``diamondqi`` script in pyproject.toml."""
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        module, function = re.search(r'^diamondqi = "([\w.]+):(\w+)"$', fh.read(), re.M).groups()
+    return module, function
+
+
+def run_process(*args):
+    """stdout, stderr and exit code of ``python ARGS`` on this checkout's src/."""
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def run_in_process(capsys, argv):
+    """What ``main(argv)`` returns and prints, argparse's SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PROCESS_CASES = [
+    (["state", "--r", "0.7", "--dump", "dense"], 0),
+    (["state", "--r", "400"], 1),  # JSON error record
+    (["state", "--r", "-1"], 2),  # usage
+]
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_CASES)
+def test_a_process_prints_and_exits_as_main_does(capsys, argv, code):
+    expected = run_in_process(capsys, argv)
+    assert expected[0] == code
+    assert run_process("-m", "diamondqi.cli", *argv) == expected
+    module, function = console_script_target()
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    assert run_process("-c", script, *argv) == expected
+
+
+# registered before the entry runs, so it runs after it returns, at finalization
+FREEZE_PROBE = ("import atexit, gc, sys; "
+                "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count() > 0}\\n')); ")
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0)] + PROCESS_CASES[1:])
+def test_the_process_entry_freezes_the_heap_before_finalization(argv, code):
+    module, function = console_script_target()
+    for entry in ("import runpy; runpy.run_module('diamondqi.cli', run_name='__main__')",
+                  f"from {module} import {function}; sys.exit({function}())"):
+        exit_code, _, err = run_process("-c", FREEZE_PROBE + entry, *argv)
+        assert exit_code == code and err.endswith("frozen True\n")
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    assert gc.get_freeze_count() == 0
+    run_in_process(capsys, ["state", "--r", "0.7"])
+    run_in_process(capsys, ["state", "--r", "-1"])
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_console_script_runs_the_entry_of_python_m():
+    module, function = console_script_target()
+    assert module == "diamondqi.cli" and getattr(cli, function) is cli.run
+    assert inspect.getsource(cli).endswith(f'if __name__ == "__main__":\n    sys.exit({function}())\n')

@@ -411,6 +411,19 @@ def test_sweep_collects_per_point_errors():
     assert reports[1] is None and 1 in errors
 
 
+def test_a_lifetime_whose_squeezing_overflows_fails_at_its_point():
+    # r = inf used to reach report_for, which read it as past the cap 320
+    with pytest.raises(dq.DomainCap, match="the squeezing r overflows"):
+        dq.r_from_lifetime(1e-300, 1e-10)
+    assert math.isfinite(dq.r_from_lifetime(2e-300, 1e-8))  # omega_hat = 1e-308
+    reports, errors = dq.sweep(lifetimes=[1e-300, 2.0, 0.0], omega=1e-10)
+    assert reports[0] is None and reports[1] is not None and reports[2] is None
+    assert errors == {
+        0: "DomainCap: omega_hat = 5e-311: the squeezing r overflows",
+        2: "ValueError: lifetime and omega must be positive (zero lifetime gives r = infinity)",
+    }
+
+
 def test_sweep_argument_validation():
     with pytest.raises(ValueError):
         dq.sweep()
@@ -418,6 +431,8 @@ def test_sweep_argument_validation():
         dq.sweep(r_values=[1.0], lifetimes=[1.0])
     with pytest.raises(ValueError):
         dq.sweep(lifetimes=[1.0])
+    with pytest.raises(ValueError):
+        dq.sweep(lifetimes=[1.0], omega=0.0)
     with pytest.raises(ValueError):
         dq.sweep(r_values=[])
 

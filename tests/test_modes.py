@@ -141,6 +141,14 @@ def test_thermal_occupation_identities(chart):
     assert dq.thermal_occupation(chart, 300.0) == 0.0  # underflow limit, n -> 0
 
 
+def test_thermal_occupation_raises_where_it_overflows(chart):
+    # n ~ 1/(pi omega_hat) overflowed to inf below omega_hat ~ 1.8e-309
+    with pytest.raises(dq.DomainCap, match="the thermal occupation overflows"):
+        dq.thermal_occupation(chart, 5e-324)
+    n = dq.thermal_occupation(chart, 1e-308)
+    assert math.isfinite(n) and abs(n * math.pi * 1e-308 - 1.0) < 1e-15
+
+
 def test_squeezing_rejects_nonpositive(chart):
     with pytest.raises(ValueError):
         dq.squeezing_from_frequency(chart, 0.0)
