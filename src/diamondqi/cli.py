@@ -106,11 +106,14 @@ def _grid(s: str):
     lo, hi, step = (_finite(p) for p in parts)
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("grid needs step > 0 and hi >= lo")
+    # the last point lies at most HI.  The slack absorbs the rounding of LO,
+    # HI and STEP from their decimal text and of the quotient: without it
+    # 3.0:3.4:0.2 (span 1.9999999999999996) and 10:10.2:0.1 would lose HI
     span = (hi - lo) / step  # inf when the quotient overflows
-    if not span + 0.5 < _MAX_GRID_POINTS:
+    last = span + (math.ulp(lo) + math.ulp(hi)) / step + 4.0 * math.ulp(span)
+    if not last < _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"grid has more than {_MAX_GRID_POINTS} points")
-    count = int(math.floor(span + 0.5)) + 1
-    return [lo + i * step for i in range(count)]
+    return [lo + i * step for i in range(int(last) + 1)]
 
 
 def _emit(text: str, out):
@@ -212,8 +215,6 @@ def cmd_bogoliubov(args) -> int:
 def _resolve_r(args):
     if args.r is not None:
         return float(args.r), None
-    if args.omega_hat is None:
-        raise DiamondError("provide --r or both --alpha and --omega-hat")
     from .modes import squeezing_from_frequency
 
     chart = DiamondChart(args.alpha)
@@ -270,6 +271,8 @@ def _report_row(rep) -> str:
 
 
 def cmd_entanglement(args) -> int:
+    if args.lifetime_grid is not None and args.omega is None:
+        args.usage_error("--lifetime-grid requires --omega")  # exits 2
     from .entanglement import sweep
 
     scale = 1.0 if args.alpha_mode == "lifetime" else 2.0
@@ -348,9 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bogoliubov)
 
     p = sub.add_parser("state", help="dump the Alice-Dave reduced state")
-    p.add_argument("--r", type=_nonnegative, default=None)
+    squeezing = p.add_mutually_exclusive_group(required=True)
+    squeezing.add_argument("--r", type=_nonnegative)
+    squeezing.add_argument("--omega-hat", type=_positive, help="with --alpha, the squeezing r(omega_hat)")
     p.add_argument("--alpha", type=_positive, default=1.0)
-    p.add_argument("--omega-hat", type=_positive, default=None)
     p.add_argument("--nmax", type=_nmax, default="auto")
     p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--dump", choices=("blocks", "dense"), default="blocks")
@@ -358,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("entanglement", help="entanglement measures over a grid")
-    p.add_argument("--r-grid", type=_grid, default=None, metavar="LO:HI:STEP")
-    p.add_argument("--lifetime-grid", type=_grid, default=None, metavar="LO:HI:STEP")
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--r-grid", type=_grid, metavar="LO:HI:STEP")
+    grid.add_argument("--lifetime-grid", type=_grid, metavar="LO:HI:STEP", help="needs --omega")
     p.add_argument("--omega", type=_positive, default=None)
     p.add_argument("--alpha-mode", choices=("lifetime", "half-lifetime"), default="lifetime",
                    help="interpret lifetime-grid values as full lifetimes or as alpha")
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_entanglement)
+    p.set_defaults(func=cmd_entanglement, usage_error=p.error)
 
     p = sub.add_parser("figures", help="write fig3.csv and fig4.csv degradation curves")
     p.add_argument("--out-dir", default=".")
@@ -400,9 +405,20 @@ def run() -> int:
     the operating system reclaims it when the process exits.  Finalization
     still flushes stdio and runs atexit handlers.  The freeze also runs when
     argparse exits through ``SystemExit``.
+
+    A reader that closes stdout early (``diamondqi selftest | head -1``) ends
+    the process with exit code 1 and nothing on stderr, as the Python docs'
+    note on SIGPIPE recommends.
     """
     try:
-        return main()
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at finalization
+        return code
+    except BrokenPipeError:
+        # stdout's buffer still holds output; point it at devnull so that the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         gc.freeze()
 

@@ -2,9 +2,12 @@
 
 ``CHECKS`` maps each invariant's name to its check, in the order
 ``diamondqi selftest`` prints them.  A check is called as
-``check(rng, perturb)`` with a fresh ``numpy.random.Generator`` and returns
-``(ok, detail)``.  ``run_selftest`` runs every entry; the test suite runs
-every entry at two seeds, so each invariant is written down once.
+``check(seed, perturb)`` with a nonnegative integer seed and returns
+``(ok, detail)``.  A check that samples draws its points from the standard
+library's ``random.Random(seed)``, so the same seed gives the same points
+and no caller builds a generator.  ``run_selftest`` runs every entry; the
+test suite runs every entry at two seeds, so each invariant is written down
+once.
 
 ``PERTURBATIONS`` maps each negative control to the one check it must trip:
 ``perturb="bogoliubov-closed"`` scales the Bogoliubov closed form,
@@ -14,6 +17,7 @@ squeezing r(omega_hat), by 1.001.
 
 import math
 import numbers
+import random
 import sys
 import time
 
@@ -73,10 +77,16 @@ def _worst(*errors):
     return math.nan if any(math.isnan(e) for e in errors) else max(errors)
 
 
+def _uniform(rng, lo, hi, n):
+    """n floats uniform on [lo, hi) from a ``random.Random``: 53 random bits each."""
+    u = (np.frombuffer(rng.randbytes(8 * n), "<u8") >> 11) * 2.0 ** -53
+    return lo + (hi - lo) * u
+
+
 def _wedge_samples(rng, n, wedge):
     """Hatted Rindler-spacetime points strictly inside one wedge."""
-    a = rng.uniform(-3.0, 3.0, n)
-    b = np.abs(a) + rng.uniform(0.05, 4.0, n)
+    a = _uniform(rng, -3.0, 3.0, n)
+    b = np.abs(a) + _uniform(rng, 0.05, 4.0, n)
     if wedge == "R":
         return a, b
     if wedge == "L":
@@ -86,7 +96,8 @@ def _wedge_samples(rng, n, wedge):
     return -b, a
 
 
-def _check_roundtrip(rng, _):
+def _check_roundtrip(seed, _):
+    rng = random.Random(seed)
     worst = 0.0
     for wedge in ("R", "L", "F", "P"):
         tth, txh = _wedge_samples(rng, 10_000, wedge)
@@ -103,12 +114,13 @@ def _check_roundtrip(rng, _):
 def _interior_samples(rng, n):
     """Up to n diamond points drawn in |t|, |x| < 0.9 with |t| + |x| <= 0.97."""
     for _ in range(n):
-        t, x = rng.uniform(-0.9, 0.9, 2)
+        t, x = rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)
         if abs(t) + abs(x) <= 0.97:
             yield t, x
 
 
-def _check_lambda_independence(rng, _):
+def _check_lambda_independence(seed, _):
+    rng = random.Random(seed)
     charts = [DiamondChart(1.0, lam) for lam in (0.5, 1.0, 2.0, 5.0)]
     worst = 0.0
     for t, x in _interior_samples(rng, 200):
@@ -119,10 +131,11 @@ def _check_lambda_independence(rng, _):
     return worst < 1e-12, f"worst spread {worst:.2e}"
 
 
-def _check_boundary_lines(rng, _):
+def _check_boundary_lines(seed, _):
+    rng = random.Random(seed)
     chart = DiamondChart(1.0, 2.0)
     worst = 0.0
-    for s in rng.uniform(0.05, 5.0, 50):
+    for s in _uniform(rng, 0.05, 5.0, 50):
         for tt, tx in ((s, s), (s, -s), (-s, s), (-s, -s)):
             p = rindler_to_diamond(chart, EventCoords.rindler(tt * chart.alpha_tilde, tx * chart.alpha_tilde))
             V, U = p.lightcone()
@@ -130,7 +143,7 @@ def _check_boundary_lines(rng, _):
     return worst < 1e-12, f"worst off-line {worst:.2e}"
 
 
-def _check_horizon_worldline(rng, _):
+def _check_horizon_worldline(seed, _):
     chart = DiamondChart(1.0, 2.0)
     ts = []
     for eta in np.linspace(0.0, 6.0, 25):
@@ -143,7 +156,8 @@ def _check_horizon_worldline(rng, _):
     return monotone and near_top, f"t(6) = {ts[-1]:.6f}"
 
 
-def _check_tanh_relation(rng, _):
+def _check_tanh_relation(seed, _):
+    rng = random.Random(seed)
     chart = DiamondChart(1.0, 2.0)
     worst = 0.0
     for t, x in _interior_samples(rng, 300):
@@ -170,7 +184,7 @@ REGION_BATTERY = [
 ]
 
 
-def _check_region_battery(rng, _):
+def _check_region_battery(seed, _):
     chart = DiamondChart(1.0, 2.0)
     for (t, x), region, wedge in REGION_BATTERY:
         got = classify_region(chart, EventCoords.diamond(t, x))
@@ -179,7 +193,8 @@ def _check_region_battery(rng, _):
     return True, f"{len(REGION_BATTERY)} points"
 
 
-def _check_metric(rng, _):
+def _check_metric(seed, _):
+    rng = random.Random(seed)
     worst = 0.0
     for alpha in (1.0, 1.3):
         chart = DiamondChart(alpha, 2.0)
@@ -190,7 +205,7 @@ def _check_metric(rng, _):
 
         h = 1e-6 * chart.alpha
         for _ in range(20):
-            eta, xi = rng.uniform(-0.5, 0.5, 2) * chart.alpha
+            eta, xi = _uniform(rng, -0.5, 0.5, 2) * chart.alpha
             J = np.empty((2, 2))
             J[:, 0] = (comp(eta + h, xi) - comp(eta - h, xi)) / (2 * h)
             J[:, 1] = (comp(eta, xi + h) - comp(eta, xi - h)) / (2 * h)
@@ -201,7 +216,7 @@ def _check_metric(rng, _):
     return worst < 1e-6, f"worst rel {worst:.2e}"
 
 
-def _check_kummer(rng, _):
+def _check_kummer(seed, _):
     for a in (1 - 0.5j, 1 - 0.7j):
         if kummer_m(KummerParams(a, 2.0, 0.0)) != 1.0:
             return False, f"M({a},2,0) != 1"
@@ -224,7 +239,7 @@ def _check_kummer(rng, _):
     return worst < 1e-8, f"worst residual {worst:.2e}"
 
 
-def _check_quadrature(rng, _):
+def _check_quadrature(seed, _):
     # int e^{i w s} sech^2 s ds = pi w/sinh(pi w/2); past |s| = 18 the
     # integrand is below 1e-15
     w = 3.0
@@ -240,7 +255,7 @@ def _check_quadrature(rng, _):
 _BOG_GRID = [0.5, 1.0, 2.0, 4.0, 8.0]
 
 
-def _check_bogoliubov_grid(rng, perturb):
+def _check_bogoliubov_grid(seed, perturb):
     chart = DiamondChart(1.0)
     factor = 1.001 if perturb == "bogoliubov-closed" else 1.0
     worst_rel = worst_abs = 0.0
@@ -255,7 +270,7 @@ def _check_bogoliubov_grid(rng, perturb):
     return ok, f"worst rel deviation {worst_rel:.2e}, abs {worst_abs:.2e}"
 
 
-def _check_bogoliubov_symmetries(rng, _):
+def _check_bogoliubov_symmetries(seed, _):
     chart = DiamondChart(1.0)
     worst_imag = 0.0
     for (w, k) in ((0.7, 1.3), (2.0, 4.0)):
@@ -268,7 +283,7 @@ def _check_bogoliubov_symmetries(rng, _):
     return worst_imag < 1e-9 and decays, f"residual imag {worst_imag:.2e}"
 
 
-def _check_ext_positive_frequency(rng, _):
+def _check_ext_positive_frequency(seed, _):
     # h_int and h_ext carry no negative-frequency Minkowski content:
     # cosh r * beta_int + sinh r * conj(alpha_ext) = 0, and the mirrored one
     chart = DiamondChart(1.0)
@@ -285,7 +300,7 @@ def _check_ext_positive_frequency(rng, _):
     return worst < 1e-8, f"worst residual {worst:.2e}"
 
 
-def _check_thermality(rng, perturb):
+def _check_thermality(seed, perturb):
     factor = 1.001 if perturb == "squeezing" else 1.0
     chart = DiamondChart(1.0)
     worst = 0.0
@@ -302,7 +317,7 @@ def _check_thermality(rng, perturb):
     return worst <= 1e-15, f"worst rel {worst:.2e}"
 
 
-def _check_squeezed_state_norms(rng, _):
+def _check_squeezed_state_norms(seed, _):
     chart = DiamondChart(1.0)
     worst = 0.0
     for wh in (0.3, 1.0, 4.0):
@@ -315,7 +330,7 @@ def _check_squeezed_state_norms(rng, _):
     return worst < 1e-12, f"worst deficit {worst:.2e}"
 
 
-def _check_state_integrity(rng, _):
+def _check_state_integrity(seed, _):
     worst_tr = worst_eig = worst_alice = worst_dave = 0.0
     for r in (0.0, 0.5, 1.0, 2.0):
         st = build_rho_ad(r)
@@ -333,7 +348,7 @@ def _check_state_integrity(rng, _):
     return ok, f"trace {worst_tr:.1e} eig {worst_eig:.1e} alice {worst_alice:.1e} dave {worst_dave:.1e}"
 
 
-def _check_partial_transpose(rng, _):
+def _check_partial_transpose(seed, _):
     # at (0.6, 60) the last retained level carries ~1e-32; at (1.0, 10) and
     # (0, 1) it carries 6.6e-3 and 0.5
     diff, blocks_ok = 0.0, True
@@ -350,7 +365,7 @@ def _check_partial_transpose(rng, _):
     return diff == 0.0 and blocks_ok, f"entrywise {diff:.2e}"
 
 
-def _check_ppt_oracle(rng, perturb):
+def _check_ppt_oracle(seed, perturb):
     factor = 1.001 if perturb == "ppt-closed" else 1.0
     worst = 0.0
     for r in (0.1, 0.3, 0.6, 1.0, 2.0, 4.0):
@@ -364,7 +379,7 @@ def _check_ppt_oracle(rng, perturb):
     return worst < 1e-8, f"worst abs {worst:.2e}"
 
 
-def _check_negativity_identities(rng, _):
+def _check_negativity_identities(seed, _):
     worst = 0.0
     for r in (0.3, 1.0, 3.0):
         trunc = FockTruncation.fixed(200, r)
@@ -374,7 +389,7 @@ def _check_negativity_identities(rng, _):
     return worst < 1e-8, f"worst {worst:.2e}"
 
 
-def _check_endpoint_limits(rng, _):
+def _check_endpoint_limits(seed, _):
     ok = (
         log_negativity(0.0) == 1.0
         and mutual_information(0.0) == 2.0
@@ -384,7 +399,7 @@ def _check_endpoint_limits(rng, _):
     return ok, f"N(8) = {log_negativity(8.0):.2e}, I(8)-1 = {mutual_information(8.0)-1.0:.2e}"
 
 
-def _check_monotonicity(rng, _):
+def _check_monotonicity(seed, _):
     grid = [0.1 * i for i in range(51)]
     reports, errors = sweep(r_values=grid)
     if errors:
@@ -395,7 +410,7 @@ def _check_monotonicity(rng, _):
     return ok, "strictly decreasing on [0,5] step 0.1"
 
 
-def _check_figure_endpoints(rng, _):
+def _check_figure_endpoints(seed, _):
     reports, errors = sweep(r_values=figure_grid())
     if errors:
         return False, f"sweep errors {errors}"
@@ -410,7 +425,7 @@ def _check_figure_endpoints(rng, _):
     return ok, f"N(5) = {last.neg_log:.3e}, I(5) = {last.mutual_info:.6f}"
 
 
-def _check_recombination(rng, _):
+def _check_recombination(seed, _):
     worst = 0.0
     for r in (0.2, 0.9, 2.5):
         s_a, s_d, s_ad = entropies(r)
@@ -418,7 +433,7 @@ def _check_recombination(rng, _):
     return worst < 1e-9, f"worst {worst:.2e}"
 
 
-def _check_determinism(rng, _):
+def _check_determinism(seed, _):
     # r = 2.8 takes the Euler-Maclaurin tail, the others the direct sum; the
     # repr of a float round-trips, so equal reprs mean bit-identical reports
     grid = [0.0, 0.5, 1.0, 2.8]
@@ -454,8 +469,8 @@ CHECKS = {
 
 
 def run_selftest(seed: int = 0, perturb: str = None, stream=None) -> int:
-    """Run every registry entry with a fresh rng of this seed and print one
-    PASS/FAIL line each; returns the number of failures."""
+    """Run every registry entry at this seed and print one PASS/FAIL line
+    each; returns the number of failures."""
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if perturb is not None and perturb not in PERTURBATIONS:
@@ -465,7 +480,7 @@ def run_selftest(seed: int = 0, perturb: str = None, stream=None) -> int:
     failures = 0
     for name, check in CHECKS.items():
         try:
-            ok, detail = check(np.random.default_rng(seed), perturb)
+            ok, detail = check(seed, perturb)
         except Exception as exc:  # noqa: BLE001 - reported as a failing check
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         if not ok:

@@ -272,10 +272,10 @@ def test_entanglement_fixed_nmax_rows_are_truncated_reports(capsys):
 
 
 def test_entanglement_usage_error(capsys):
-    code, _, err = run_cli(capsys, "entanglement", "--r-grid", "0:1:0.5",
-                           "--lifetime-grid", "1:2:1")
-    assert code == 1
-    assert "error" in err
+    with pytest.raises(SystemExit) as err:
+        main(["entanglement", "--r-grid", "0:1:0.5", "--lifetime-grid", "1:2:1"])
+    assert err.value.code == 2
+    assert "not allowed with argument --r-grid" in capsys.readouterr().err
 
 
 def test_figures_outputs(capsys, tmp_path):
@@ -339,11 +339,30 @@ def test_usage_error_exit_code():
     ["state", "--r", "-1"],
     # printed 23 FAIL lines, one ValueError each, and exited 1
     ["selftest", "--seed", "-1"],
+    # exited 1 with a ValueError or DiamondError record
+    ["entanglement"],
+    ["entanglement", "--lifetime-grid", "1:2:1"],
+    ["state"],
+    # exited 0: took --r and printed "omega_hat": null
+    ["state", "--r", "0.5", "--omega-hat", "1"],
 ])
 def test_bad_values_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+def test_grid_stops_at_hi():
+    assert _grid("0:1:0.4") == [0.0, 0.4, 0.8]
+    assert len(_grid("0:1:0.3")) == 4
+    # (3.4 - 3.0) / 0.2 rounds to 1.9999999999999996: the point at 3.4 stays
+    assert _grid("3.0:3.4:0.2") == [3.0, 3.0 + 0.2, 3.0 + 2 * 0.2]
+    # (10.2 - 10) / 0.1 is 32 ulps short of 2, from the rounding of 10.2
+    assert len(_grid("10:10.2:0.1")) == 3 and len(_grid("1e6:1000000.2:0.1")) == 3
+    # the size cap counts the same points: 999 999.6 steps fit in 10**6 points
+    assert len(_grid("0:0.9999996:1e-6")) == _MAX_GRID_POINTS
+    for hi in (1.0, 1.25, 1.5, 1.75, 2.0):
+        assert _grid(f"0:{hi!r}:0.25") == [0.25 * i for i in range(int(hi / 0.25) + 1)]
 
 
 def test_grid_size_cap():
@@ -452,3 +471,26 @@ def test_the_console_script_runs_the_entry_of_python_m():
     module, function = console_script_target()
     assert module == "diamondqi.cli" and getattr(cli, function) is cli.run
     assert inspect.getsource(cli).endswith(f'if __name__ == "__main__":\n    sys.exit({function}())\n')
+
+
+@pytest.mark.parametrize("argv, unbuffered, code", [
+    # unbuffered, each PASS line is its own write, and the second one fails
+    (["selftest"], "1", 1),
+    # buffered, the whole report is one write at exit, done before the reader closes
+    (["selftest"], "", 0),
+    # buffered, the 2001-row CSV fills the pipe, and a flush fails
+    (["entanglement", "--r-grid", "0:10:0.005"], "", 1),
+    # unbuffered, the CSV is one write(), which ends short when the reader
+    # closes; the unbuffered text layer does not retry, so nothing fails
+    (["entanglement", "--r-grid", "0:10:0.005"], "1", 0),
+])
+def test_a_reader_that_closes_stdout_leaves_no_traceback(argv, unbuffered, code):
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with subprocess.Popen([sys.executable, "-m", "diamondqi.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()  # as `| head -1` does
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (code, b"")

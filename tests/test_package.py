@@ -87,6 +87,13 @@ def test_selftest_loads_no_masked_arrays(numpy_itself):
     assert "numpy.ma" not in loaded - numpy_itself
 
 
+def test_selftest_loads_no_numpy_random(numpy_itself):
+    # the registry draws its points from the standard library's random.Random
+    loaded = imported_modules("-m", "diamondqi.cli", "selftest")
+    assert "diamondqi.invariants" in loaded
+    assert not {name for name in loaded - numpy_itself if name.startswith("numpy.random")}
+
+
 def test_public_names_resolve_and_are_listed():
     listed = dir(diamondqi)
     for owner, names in PUBLIC_NAMES.items():
