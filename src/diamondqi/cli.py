@@ -121,7 +121,14 @@ def _emit(text: str, out):
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        # through the byte layer, in a loop on the count written: unbuffered,
+        # the text layer drops what a short write() leaves, so a reader that
+        # closes the pipe would truncate the output without an error.  The
+        # next write() after a short one raises BrokenPipeError
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
 
 
 def _point_json(p: EventCoords):

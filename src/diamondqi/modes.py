@@ -14,9 +14,9 @@ tolerance.  Every route runs the one trapezoid loop of ``specfun`` on its
 integrand in its own variable.  Interior alpha is integrated over the
 support itself, in s = atanh(U/alpha), where the mode's phase is e^{-iws}.
 Interior beta runs along the steepest-descent legs U = +/-alpha - i*alpha*y,
-where e^{-ikU} decays and the two legs do not cancel the way the real-line
-integral does, and each exterior side along the vertical contour through
-U = +/-alpha; both run in p = ln y.
+in p = ln y, where e^{-ikU} decays and the two legs do not cancel the way
+the real-line integral does.  Both methods take the exterior coefficients
+from their own interior ones through the positive-frequency identity.
 """
 
 import enum
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainCap, OutOfSupport, UnsupportedRegion
+from .errors import DomainCap, OutOfSupport
 from .geometry import DiamondChart, EventCoords, Frame, _squeezing_r, convert
 from .specfun import KummerParams, _nested_trapezoid, kummer_m
 
@@ -160,6 +160,18 @@ def _check_bog_args(omega_hat, k_hat, kind):
         raise ValueError("kind must be 'alpha' or 'beta'")
 
 
+def _exterior(method, chart, omega_hat, k_hat, kind, **options):
+    """Exterior coefficient from the interior one of the other kind that
+    ``method`` returns, by the positive-frequency identity of h_int and h_ext:
+    alpha_ext = -conj(beta_int)/tanh r and beta_ext = -tanh r conj(alpha_int),
+    with tanh r = e^{-pi w/2}.  It meets the interior's tolerance or raises
+    as the interior does."""
+    tanh_r = math.exp(-0.5 * math.pi * omega_hat)
+    if kind == "alpha":
+        return -method(chart, omega_hat, k_hat, "beta", **options).conjugate() / tanh_r
+    return -tanh_r * method(chart, omega_hat, k_hat, "alpha", **options).conjugate()
+
+
 def bogoliubov_closed_form(
     chart: DiamondChart,
     omega_hat: float,
@@ -167,17 +179,17 @@ def bogoliubov_closed_form(
     kind: str,
     region: ModeRegion = ModeRegion.INT,
 ) -> complex:
-    """Interior-mode coefficient via the Kummer closed form.
+    """Coefficient via the Kummer closed form.
 
-    alpha: (alpha/2) sqrt(wk)/sinh(pi w/2) e^{-ik} M(1 - iw/2, 2, +2ik)
-    beta:  the same with k -> -k inside the phase and M (sqrt(k) fixed).
-    Both brackets are real.  No closed form is implemented for the exterior
-    region; use the quadrature route there.  Raises DomainCap where
-    sinh(pi w/2) overflows, past w ~ 452.
+    Interior alpha: (alpha/2) sqrt(wk)/sinh(pi w/2) e^{-ik} M(1 - iw/2, 2, +2ik)
+    Interior beta:  the same with k -> -k inside the phase and M (sqrt(k) fixed).
+    Both brackets are real.  The exterior coefficients are the interior ones
+    of the other kind through the positive-frequency identity.  Raises
+    DomainCap where sinh(pi w/2) overflows, past w ~ 452.
     """
     _check_bog_args(omega_hat, k_hat, kind)
-    if region is not ModeRegion.INT:
-        raise UnsupportedRegion("closed form available for the interior region only")
+    if region is ModeRegion.EXT:
+        return _exterior(bogoliubov_closed_form, chart, omega_hat, k_hat, kind)
     try:
         pref = (chart.alpha / 2.0) * math.sqrt(omega_hat * k_hat) / math.sinh(math.pi * omega_hat / 2.0)
     except OverflowError:
@@ -207,22 +219,17 @@ def bogoliubov_quadrature(
     onto the vertical legs U = +/-alpha - i*alpha*y and the integral is
     rot*(L(-alpha) - L(+alpha)) with rot = -i.  Both legs are summed in one
     plain nested trapezoid in p = ln y, which raises NonConvergence where
-    rounding alone misses rel_tol.  Exterior: the support is unbounded and
-    the transform exists as an Abel limit; it is evaluated by rotating each
-    side onto the vertical contour through U = +/-alpha, where e^{+/-ikU}
-    decays and the integrand is smooth.  Each side is a plain nested
-    trapezoid in p = ln y that converges on its own rel_tol, and the sides
-    are subtracted afterwards, so where they nearly cancel the exterior can
-    miss rel_tol without raising: beta at (w, k) = (1, 1e-8) comes out
-    1.1e-9 off, at (12, 0.5) 1e-3 off, and at (20, 2) and (50, 1) it is
-    wrong in every digit.  Raises ValueError unless 0 < rel_tol < 1.
+    rounding alone misses rel_tol.  Exterior: the interior quadrature of the
+    other kind through the positive-frequency identity, so it too meets
+    rel_tol or raises.  Raises ValueError unless 0 < rel_tol < 1.
     """
     _check_bog_args(omega_hat, k_hat, kind)
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    sign = 1.0 if kind == "alpha" else -1.0
+    if region is ModeRegion.EXT:
+        return _exterior(bogoliubov_quadrature, chart, omega_hat, k_hat, kind, rel_tol=rel_tol)
     pref = chart.alpha / (2.0 * math.pi) * math.sqrt(k_hat / omega_hat)
-    if region is ModeRegion.INT and kind == "alpha":
+    if kind == "alpha":
         # u = tanh s turns the power ((1+u)/(1-u))^(-iw/2) into e^{-iws}, so
         # the integrand is e^{i theta} sech^2 s with theta = k tanh s - w s,
         # and its phase is exact at every s.  Written as 4e/(1+e)^2 with
@@ -261,45 +268,26 @@ def bogoliubov_quadrature(
     # rel_tol
     h = math.pi ** 2 / (math.log(1.0 / rel_tol) + 5.0 + 0.5 * math.pi * omega_hat)
 
-    if region is ModeRegion.INT:
-        # On the legs u = -/+1 - iy the two integrands of beta share the
-        # modulus m = e^{-pi w/4} e^{-(w/2) atan(y/2) - ky} and carry the
-        # conjugate phases e^{-/+i(psi - k)}, psi = -(w/4) ln(1 + 4/y^2), so
-        # rot*(L(-1) - L(+1)) = -2 int m y sin(psi - k) dp.  The sine is
-        # expanded so that k enters only through sin k and cos k.  A term
-        # v is then rounded by a few eps times m y |psi| (psi is known to
-        # eps |psi|), m y |sin k| and |v|; the stop test weighs the sum of
-        # these bounds against rel_tol |value|.  Near y = 0 the terms fall
-        # like y, so the part cut off below y = e^{p_lo}, eps e^{-5}/max(1, k),
-        # stays below eps times the summed bounds.  In the code m carries the
-        # factor y and leaves e^{-pi w/4} to the prefactor.
-        p_lo = math.log(np.finfo(float).eps) - ln_k - 5.0
-        cos_k, sin_k = math.cos(k_hat), math.sin(k_hat)
+    # On the legs u = -/+1 - iy the two integrands of beta share the
+    # modulus m = e^{-pi w/4} e^{-(w/2) atan(y/2) - ky} and carry the
+    # conjugate phases e^{-/+i(psi - k)}, psi = -(w/4) ln(1 + 4/y^2), so
+    # rot*(L(-1) - L(+1)) = -2 int m y sin(psi - k) dp.  The sine is
+    # expanded so that k enters only through sin k and cos k.  A term
+    # v is then rounded by a few eps times m y |psi| (psi is known to
+    # eps |psi|), m y |sin k| and |v|; the stop test weighs the sum of
+    # these bounds against rel_tol |value|.  Near y = 0 the terms fall
+    # like y, so the part cut off below y = e^{p_lo}, eps e^{-5}/max(1, k),
+    # stays below eps times the summed bounds.  In the code m carries the
+    # factor y and leaves e^{-pi w/4} to the prefactor.
+    p_lo = math.log(np.finfo(float).eps) - ln_k - 5.0
+    cos_k, sin_k = math.cos(k_hat), math.sin(k_hat)
 
-        def legs(p):
-            y = np.exp(p)
-            m = y * np.exp(-0.5 * omega_hat * np.arctan(0.5 * y) - k_hat * y)
-            psi = -0.25 * omega_hat * np.logaddexp(0.0, _LN4 - 2.0 * p)
-            v = m * (np.sin(psi) * cos_k - np.cos(psi) * sin_k)
-            return v, m * (np.abs(psi) + abs(sin_k)) + np.abs(v)
+    def legs(p):
+        y = np.exp(p)
+        m = y * np.exp(-0.5 * omega_hat * np.arctan(0.5 * y) - k_hat * y)
+        psi = -0.25 * omega_hat * np.logaddexp(0.0, _LN4 - 2.0 * p)
+        v = m * (np.sin(psi) * cos_k - np.cos(psi) * sin_k)
+        return v, m * (np.abs(psi) + abs(sin_k)) + np.abs(v)
 
-        value, _ = _nested_trapezoid(legs, p_lo, p_hi, h, rel_tol, rounding=True)
-        return complex(-2.0 * pref * math.exp(-0.25 * math.pi * omega_hat) * value.real)
-
-    rot = sign * 1j
-    # p_lo is sized to the bounded modulus factor e^{pi w/4} of the power
-    p_lo = math.log(rel_tol) - ln_k - 5.0 - 0.4 * omega_hat
-
-    def side(b):
-        # on the side through U = b*alpha, e^{+/-ikU} = e^{+/-ikb} e^{-ky}.
-        # The constant phase is taken out of the sum: added to the power's
-        # phase it rounds to eps*k, and left (1, 1e5) alpha 6.7e-11 off
-        def f(p):
-            y = np.exp(p)
-            tau = b + rot * y
-            return np.exp(0.5j * omega_hat * np.log((tau + 1.0) / (tau - 1.0)) - k_hat * y) * y
-
-        phase = complex(math.cos(k_hat * b), sign * math.sin(k_hat * b))
-        return phase * _nested_trapezoid(f, p_lo, p_hi, h, rel_tol)[0]
-
-    return pref * complex(rot * (side(1.0) - side(-1.0)))
+    value, _ = _nested_trapezoid(legs, p_lo, p_hi, h, rel_tol, rounding=True)
+    return complex(-2.0 * pref * math.exp(-0.25 * math.pi * omega_hat) * value.real)

@@ -12,11 +12,11 @@ double precision; pinning the working precision keeps a caller's global
 Every quadrature is one nested-halving trapezoid loop, ``_nested_trapezoid``,
 which evaluates each pass in chunks of ``QUAD_CHUNK`` points, raises once a
 pass sum is not finite, and stops at ``QUAD_NODE_BUDGET``.  ``modes`` runs
-it on each Bogoliubov integrand in that integrand's own variable: interior
-alpha in s = atanh u, the steepest-descent legs of interior beta and each
-side of the exterior contour in p = ln y.  Interior alpha and beta pass a
-per-node rounding bound, so the loop raises once rounding alone misses the
-tolerance.
+it on each interior Bogoliubov integrand in that integrand's own variable:
+alpha in s = atanh u, and the steepest-descent legs of beta in p = ln y.
+Both pass a per-node rounding bound, so the loop raises once rounding alone
+misses the tolerance.  The selftest's oracle for the exterior coefficients
+runs it on the exterior contour.
 """
 
 import math

@@ -16,6 +16,7 @@ from diamondqi.cli import _CSV_HEADER, _MAX_GRID_POINTS, _grid, _nmax, _report_r
 from diamondqi.entanglement import report_for
 from diamondqi.invariants import PERTURBATIONS, run_selftest
 from diamondqi.states import TRUNCATION_CAP, FockTruncation
+from test_modes import _exterior_40
 
 
 def run_cli(capsys, *argv):
@@ -143,11 +144,18 @@ def test_bogoliubov_beta_quadrature_at_large_k(capsys):
     assert abs(json.loads(out)["quadrature"]["re"] - want) < 1e-10 * abs(want)
 
 
-def test_bogoliubov_ext_closed_is_numeric_failure(capsys):
-    code, _, err = run_cli(capsys, "bogoliubov", "--omega-hat", "1", "--k-hat", "1",
-                           "--kind", "alpha", "--method", "closed", "--region", "ext")
-    assert code == 1
-    assert json.loads(err)["error"]["type"] == "UnsupportedRegion"
+@pytest.mark.parametrize("kind", ["alpha", "beta"])
+def test_bogoliubov_ext_by_both_methods(capsys, chart, kind):
+    # the exterior closed form raised UnsupportedRegion, so the default
+    # --method both exited 1
+    code, out, err = run_cli(capsys, "bogoliubov", "--omega-hat", "1", "--k-hat", "1",
+                             "--kind", kind, "--region", "ext")
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    want = _exterior_40(chart, 1.0, 1.0, kind)  # alpha = 1, as the command's default
+    got = complex(rec["closed"]["re"], rec["closed"]["im"])
+    assert abs(got - want) < 1e-13 * abs(want)
+    assert rec["deviation"] <= 1e-10
 
 
 def test_state_blocks_keys_and_representation(capsys):
@@ -478,11 +486,11 @@ def test_the_console_script_runs_the_entry_of_python_m():
     (["selftest"], "1", 1),
     # buffered, the whole report is one write at exit, done before the reader closes
     (["selftest"], "", 0),
-    # buffered, the 2001-row CSV fills the pipe, and a flush fails
+    # buffered, the 2001-row CSV fills the pipe, and a write fails
     (["entanglement", "--r-grid", "0:10:0.005"], "", 1),
-    # unbuffered, the CSV is one write(), which ends short when the reader
-    # closes; the unbuffered text layer does not retry, so nothing fails
-    (["entanglement", "--r-grid", "0:10:0.005"], "1", 0),
+    # unbuffered, the CSV's first write() ends short when the reader closes,
+    # and the next one fails
+    (["entanglement", "--r-grid", "0:10:0.005"], "1", 1),
 ])
 def test_a_reader_that_closes_stdout_leaves_no_traceback(argv, unbuffered, code):
     src = os.path.join(ROOT, "src")

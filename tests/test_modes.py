@@ -198,11 +198,6 @@ def test_alpha_scaling_dimension():
     assert abs(a2 - 2.0 * a1) < 1e-14
 
 
-def test_no_closed_form_for_exterior(chart):
-    with pytest.raises(dq.UnsupportedRegion):
-        dq.bogoliubov_closed_form(chart, 1.0, 1.0, "alpha", ModeRegion.EXT)
-
-
 test_exterior_positive_frequency_relations = lookup("bogoliubov-ext-positive-frequency")
 
 
@@ -235,6 +230,64 @@ def _interior_closed_40(chart, w, k, sign):
         m = mp.hyp1f1(mp.mpc(1, -w / 2), 2, mp.mpc(0, 2 * sign * k))
         pref = mp.mpf(chart.alpha) / 2 * mp.sqrt(w * k) / mp.sinh(mp.pi * w / 2)
         return complex(pref * mp.expj(-sign * k) * m)
+
+
+def _exterior_40(chart, w, k, kind):
+    """Exterior coefficient from the 40-digit interior closed form of the
+    other kind, by the positive-frequency identity."""
+    with mp.workdps(40):
+        tanh_r = mp.exp(-mp.pi * w / 2)
+        if kind == "alpha":
+            return complex(-mp.conj(_interior_closed_40(chart, w, k, -1)) / tanh_r)
+        return complex(-tanh_r * mp.conj(_interior_closed_40(chart, w, k, 1)))
+
+
+def test_closed_form_for_exterior_is_the_identity(chart):
+    # the exterior closed form raised UnsupportedRegion
+    for kind in ("alpha", "beta"):
+        want = _exterior_40(chart, 1.0, 1.0, kind)
+        got = dq.bogoliubov_closed_form(chart, 1.0, 1.0, kind, ModeRegion.EXT)
+        assert abs(got - want) < 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("w,k", [(8.0, 0.25), (6.0, 0.05), (1.0, 1e-8), (12.0, 0.5)])
+def test_exterior_beta_meets_rel_tol_or_raises(chart, w, k):
+    # the two contour sides, each converged on its own and then subtracted,
+    # came out 1.2e-7, 3.2e-9, 1.1e-9 and 1.1e-3 off here without raising
+    want = _exterior_40(chart, w, k, "beta")
+    assert abs(dq.bogoliubov_closed_form(chart, w, k, "beta", ModeRegion.EXT) - want) < 1e-13 * abs(want)
+    try:
+        got = dq.bogoliubov_quadrature(chart, w, k, "beta", ModeRegion.EXT)
+    except dq.NonConvergence:
+        return
+    assert abs(got - want) < 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("k", [1e-100, 1e-300])
+@pytest.mark.parametrize("route", [dq.bogoliubov_closed_form, dq.bogoliubov_quadrature])
+def test_exterior_alpha_at_tiny_k(chart, route, k):
+    # the contour sides returned exactly 0 here
+    want = _exterior_40(chart, 1.0, k, "alpha")
+    got = route(chart, 1.0, k, "alpha", ModeRegion.EXT)
+    assert abs(got - want) < 1e-10 * abs(want)
+
+
+def test_exterior_scan_meets_rel_tol_or_raises(chart):
+    # omega_hat log-uniform on [0.01, 8] and k_hat log-uniform on [0.05, 99]:
+    # each exterior coefficient, by each method, is within 1e-10 of the
+    # 40-digit identity or raises one of the library's typed errors
+    rng = np.random.default_rng(1109)
+    for _ in range(40):
+        w = math.exp(rng.uniform(math.log(0.01), math.log(8.0)))
+        k = math.exp(rng.uniform(math.log(0.05), math.log(99.0)))
+        for kind in ("alpha", "beta"):
+            want = _exterior_40(chart, w, k, kind)
+            for route in (dq.bogoliubov_closed_form, dq.bogoliubov_quadrature):
+                try:
+                    got = route(chart, w, k, kind, ModeRegion.EXT)
+                except dq.DiamondError:
+                    continue
+                assert abs(got - want) < 1e-10 * abs(want), (w, k, kind, route.__name__)
 
 
 @pytest.mark.parametrize("w,k", [(0.5, 99.0), (0.5, 30.0), (2.0, 50.0)])
@@ -338,16 +391,14 @@ def test_bogoliubov_rejects_an_infinite_frequency(chart, arg, kind, region):
     # inf passed the positivity check: the quadrature raised NonConvergence or a
     # bare math domain error, and the closed form DomainCap |z| = inf
     args = {"omega_hat": 1.0, "k_hat": 0.5, arg: math.inf}
-    routes = [dq.bogoliubov_quadrature]
-    if region is ModeRegion.INT:
-        routes.append(dq.bogoliubov_closed_form)
-    for route in routes:
+    for route in (dq.bogoliubov_quadrature, dq.bogoliubov_closed_form):
         with pytest.raises(ValueError, match=f"^{arg} must be finite"):
             route(chart, args["omega_hat"], args["k_hat"], kind, region)
 
 
 @pytest.mark.parametrize("w,k,kind,region,most", [
-    # on the tanh map the exterior sides took 15 490 points here
+    # on the tanh map the exterior sides took 15 490 points here; the
+    # exterior reads the interior integral of the other kind
     (1.0, 0.5, "alpha", ModeRegion.EXT, 1000),
     (1.0, 0.5, "beta", ModeRegion.EXT, 1000),
     # at 12 points per wavelength interior alpha took 23 469
@@ -355,8 +406,9 @@ def test_bogoliubov_rejects_an_infinite_frequency(chart, arg, kind, region):
 ])
 def test_quadrature_node_count(chart, monkeypatch, w, k, kind, region, most):
     # the first spacings are sized to the integrand's strip of analyticity,
-    # so the loop stops after three or four passes: 794 points for the two
-    # exterior sides together and 3 913 for interior alpha at k = 99
+    # so the loop stops after three or four passes: 549 and 497 points for
+    # exterior alpha and beta, which read interior beta and alpha, and 3 913
+    # for interior alpha at k = 99
     from diamondqi import specfun
 
     seen = [0]
